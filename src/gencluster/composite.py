@@ -346,8 +346,17 @@ def aggregates(seed: CompositeSeed, g_seed: GeneralizedSeed) -> Aggregates:
 # -- realization context -----------------------------------------------------
 
 
-def _idx_name(prefix: str, i: int, l: int) -> str:
-    return f"{prefix}{i + 1}{l + 1}" if i < 9 and l < 9 else f"{prefix}{i + 1}_{l + 1}"
+def slot_name(prefix: str, i: int, l: int, n: int) -> str:
+    """Variable name of slot (i, l), 0-based, in a family over n blocks.
+
+    Below rank 10 a slot reads `x12`, or `x1_10` from the tenth slot of a
+    block on. From rank 10 on every slot carries the underscore, so a slot
+    name never equals a rank-n name such as `x11`, and no two slots share
+    a name.
+    """
+    if n < 10 and l < 9:
+        return f"{prefix}{i + 1}{l + 1}"
+    return f"{prefix}{i + 1}_{l + 1}"
 
 
 @dataclass(frozen=True)
@@ -446,19 +455,19 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
         if kind != "universal":
             raise ValueError("generic coefficients require the universal semifield")
         generators = [f"y{i + 1}" for i in range(n)] + [
-            _idx_name("z", i, l) for i in range(n) for l in range(r[i] - 1)
+            slot_name("z", i, l, n) for i in range(n) for l in range(r[i] - 1)
         ]
         y_values = [{f"y{i + 1}": 1} for i in range(n)]
         z_values = [
-            [[(1, {_idx_name("z", i, l): 1})] for l in range(r[i] - 1)]
+            [[(1, {slot_name("z", i, l, n): 1})] for l in range(r[i] - 1)]
             for i in range(n)
         ]
     generators = tuple(generators)
 
     gx_names = [f"x{i + 1}" for i in range(n)]
-    cx_names = [_idx_name("x", i, l) for i in range(n) for l in range(r[i])]
-    s_names = [_idx_name("s", i, l) for i in range(n) for l in range(r[i])]
-    e_names = [_idx_name("e", i, l) for i in range(n) for l in range(r[i])]
+    cx_names = [slot_name("x", i, l, n) for i in range(n) for l in range(r[i])]
+    s_names = [slot_name("s", i, l, n) for i in range(n) for l in range(r[i])]
+    e_names = [slot_name("e", i, l, n) for i in range(n) for l in range(r[i])]
     table = VariableTable(
         gx_names + cx_names + list(generators) + s_names + e_names
     )
@@ -466,13 +475,13 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
     offs = block_offsets(r)
     gx = tuple(table.index(nm) for nm in gx_names)
     cx = tuple(
-        tuple(table.index(_idx_name("x", i, l)) for l in range(r[i])) for i in range(n)
+        tuple(table.index(slot_name("x", i, l, n)) for l in range(r[i])) for i in range(n)
     )
     s_idx = tuple(
-        tuple(table.index(_idx_name("s", i, l)) for l in range(r[i])) for i in range(n)
+        tuple(table.index(slot_name("s", i, l, n)) for l in range(r[i])) for i in range(n)
     )
     e_idx = tuple(
-        tuple(table.index(_idx_name("e", i, l)) for l in range(r[i])) for i in range(n)
+        tuple(table.index(slot_name("e", i, l, n)) for l in range(r[i])) for i in range(n)
     )
     layout = RealizationLayout(gx=gx, cx=cx, s=s_idx, e=e_idx,
                                gens=tuple(table.index(g) for g in generators))

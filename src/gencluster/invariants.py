@@ -31,6 +31,7 @@ from .composite import (
     block_pairs,
     enlarge,
     read_block_matrix,
+    slot_name,
 )
 from .semifield import (
     SemifieldElement,
@@ -45,10 +46,6 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _idx_name(prefix, i, l):
-    return f"{prefix}{i + 1}{l + 1}" if i < 9 and l < 9 else f"{prefix}{i + 1}_{l + 1}"
-
-
 class GeneralizedInvariants:
     """Walk engine for the rank-n invariants with per-direction degrees."""
 
@@ -61,7 +58,7 @@ class GeneralizedInvariants:
         for i in range(self.n):
             for l in range(self.r[i] - 1):
                 self.zpos[(i, l + 1)] = len(names)
-                names.append(_idx_name("z", i, l))
+                names.append(slot_name("z", i, l, self.n))
         self.table = VariableTable(names)
         self.yvar = tuple(range(self.n))
         self.B0 = B.rows
@@ -191,7 +188,7 @@ class CompositeInvariants:
         self.pairs = block_pairs(self.r)
         self.offsets = block_offsets(self.r)
         self.size = sum(self.r)
-        names = [_idx_name("y", i, l) for (i, l) in self.pairs]
+        names = [slot_name("y", i, l, self.nblocks) for (i, l) in self.pairs]
         self.table = VariableTable(names)
         big = enlarge(B, self.r)
         self.B0 = big.rows
@@ -204,8 +201,27 @@ class CompositeInvariants:
     def flat(self, i, l):
         return self.offsets[i] + l
 
-    def step_elementary(self, f: int) -> "CompositeInvariants":
-        """One ordinary step in flat direction f (0-based)."""
+    def _f_products(self, colB):
+        """(prod F_j^b_j over b_j > 0, prod F_j^-b_j over b_j < 0) for a B-column."""
+        plus = minus = None
+        for j, b in enumerate(colB):
+            if b > 0:
+                power = self.F[j] ** b
+                plus = power if plus is None else plus * power
+            elif b < 0:
+                power = self.F[j] ** (-b)
+                minus = power if minus is None else minus * power
+        one = LaurentPolynomial.one(self.table)
+        return (one if plus is None else plus), (one if minus is None else minus)
+
+    def step_elementary(self, f: int, block=(), products=None) -> "CompositeInvariants":
+        """One ordinary step in flat direction f (0-based).
+
+        `products` caches the F-products of B-columns that vanish on the
+        flat directions `block`: stepping inside the block changes neither
+        such a column nor the F_j it reads, so the slots of one block step
+        share them.
+        """
         size = self.size
         B, C, G = self.B, self.C, self.G
         colC = [C[j][f] for j in range(size)]
@@ -213,8 +229,13 @@ class CompositeInvariants:
 
         new_Ff = None
         if self.track_f:
-            plus = LaurentPolynomial.one(self.table)
-            minus = LaurentPolynomial.one(self.table)
+            if products is not None and not any(colB[g] for g in block):
+                key = tuple(colB)
+                if key not in products:
+                    products[key] = self._f_products(colB)
+                plus, minus = products[key]
+            else:
+                plus, minus = self._f_products(colB)
             mono_p, mono_m = {}, {}
             for j in range(size):
                 if colC[j] > 0:
@@ -225,11 +246,6 @@ class CompositeInvariants:
                 plus = plus * LaurentPolynomial.monomial(self.table, mono_p)
             if mono_m:
                 minus = minus * LaurentPolynomial.monomial(self.table, mono_m)
-            for j in range(size):
-                if colB[j] > 0:
-                    plus = plus * self.F[j] ** colB[j]
-                elif colB[j] < 0:
-                    minus = minus * self.F[j] ** (-colB[j])
             new_Ff = (plus + minus).exact_div(self.F[f])
             if new_Ff is None:
                 raise ArithmeticError("polynomial recursion step is not exactly divisible")
@@ -258,8 +274,12 @@ class CompositeInvariants:
     def step(self, k: int) -> "CompositeInvariants":
         """One composite step in block direction k (1-based)."""
         k0 = k - 1
-        for l in range(self.r[k0]):
-            self.step_elementary(self.flat(k0, l))
+        block = [self.flat(k0, l) for l in range(self.r[k0])]
+        # the diagonal block of B is zero, so every slot of the block sees
+        # the same off-block column and the product over it is built once
+        products = {}
+        for f in block:
+            self.step_elementary(f, block, products)
         self.word = self.word + (k,)
         return self
 

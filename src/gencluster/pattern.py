@@ -248,10 +248,6 @@ class GeneralizedSeed:
         """Expanded cluster variable in direction i (1-based)."""
         return self.x[i - 1].expand()
 
-    @staticmethod
-    def initial_variable(table: VariableTable, name: str) -> FactoredFraction:
-        return FactoredFraction.variable(table, name)
-
 
 def validate_seed(seed: GeneralizedSeed) -> None:
     """Check the seed invariants; raises ValueError flavors on failure."""

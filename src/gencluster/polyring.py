@@ -3,11 +3,13 @@
 All symbolic state in this package (cluster variables, coefficient
 semifield values, invariant polynomials) is carried by the two value types
 defined here, over a shared ordered variable table. A polynomial is a
-dictionary from exponent tuples to nonzero integer coefficients; a
-rational function is a pair of polynomials normalized only by integer
-content, monomial content and denominator sign. Equality of fractions is
-decided by cross-multiplication, never by canonical form, so no
-multivariate GCD is needed anywhere.
+dictionary from packed monomial keys to nonzero integer coefficients: each
+key is one int holding the whole exponent vector in bit fields laid out by
+the table (`KeyLayout`), and `.terms` shows the same map with exponent
+tuples as keys. A rational function is a pair of polynomials normalized
+only by integer content, monomial content and denominator sign. Equality
+of fractions is decided by cross-multiplication, never by canonical form,
+so no multivariate GCD is needed anywhere.
 
 The module also provides the block-symmetry test for the splitting
 variables, the rewriting of a block-symmetric polynomial into elementary
@@ -19,8 +21,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
+from functools import reduce
 from math import gcd
+from operator import or_
 
 
 class TableMismatchError(ValueError):
@@ -47,14 +52,74 @@ class TermLimitError(RuntimeError):
     """An expansion exceeded the caller's term budget."""
 
 
+class _FieldOverflow(ArithmeticError):
+    """A packed exponent left its bit field; the table must widen."""
+
+
+# Field width of a new table: exponents in [-2**14, 2**14) fit.
+_START_BITS = 16
+
+
+class KeyLayout:
+    """Packing of exponent vectors into one int per monomial.
+
+    Each variable owns a field of `bits` bits, variable 0 the most
+    significant one. A field holds exponent + bias with bias =
+    2**(bits - 2), so exponents in [-bias, bias) are representable and the
+    top (guard) bit of every field stays clear. Keys then compare as ints
+    exactly as their exponent tuples compare lexicographically, and the
+    product of two monomials is `ka + kb - zero`.
+
+    When the sum of two representable exponents leaves the range, the
+    lowest bad field of the sum shows its guard bit (a borrow or carry
+    never crosses more than one field), and such sums never collide with
+    each other or with valid keys. One OR over the result keys therefore
+    detects every overflow; the table then widens and the operation runs
+    again.
+    """
+
+    __slots__ = ("n", "bits", "bias", "mask", "shifts", "units", "zero", "guard")
+
+    def __init__(self, n: int, bits: int):
+        self.n = n
+        self.bits = bits
+        self.bias = 1 << (bits - 2)
+        self.mask = (1 << bits) - 1
+        self.shifts = tuple(bits * (n - 1 - i) for i in range(n))
+        self.units = tuple(1 << s for s in self.shifts)
+        self.zero = sum(self.bias << s for s in self.shifts)
+        self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
+
+    def pack(self, exps) -> int:
+        key = self.zero
+        for e, unit in zip(exps, self.units):
+            if e:
+                key += e * unit
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        mask, bias = self.mask, self.bias
+        return tuple(((key >> s) & mask) - bias for s in self.shifts)
+
+    def exponent(self, key: int, i: int) -> int:
+        return ((key >> self.shifts[i]) & self.mask) - self.bias
+
+    def field_mask(self, idx) -> int:
+        """Mask covering the fields of the variables `idx`."""
+        return sum(self.mask << self.shifts[i] for i in idx)
+
+
 class VariableTable:
     """Ordered list of distinct variable names.
 
     Tables are compared by identity: values from different tables never
-    mix, and every operation checks for that explicitly.
+    mix, and every operation checks for that explicitly. The table owns
+    the key layout of its polynomials and widens it when an exponent no
+    longer fits; polynomials encoded under an older layout are re-encoded
+    when they next meet an operation.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "layout")
 
     def __init__(self, names):
         names = tuple(names)
@@ -65,6 +130,7 @@ class VariableTable:
                 raise ValueError("variable names must be nonempty strings")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
+        self.layout = KeyLayout(len(names), _START_BITS)
 
     def __len__(self):
         return len(self.names)
@@ -78,8 +144,28 @@ class VariableTable:
         except KeyError:
             raise KeyError(f"unknown variable {name!r}") from None
 
+    def widen(self, reach: int = 0) -> KeyLayout:
+        """Switch to a layout at least twice as wide whose range covers `reach`."""
+        bits = max(2 * self.layout.bits, reach.bit_length() + 2)
+        self.layout = KeyLayout(len(self.names), bits)
+        return self.layout
+
+    def make_room(self, exps) -> KeyLayout:
+        """Current layout, widened first if some exponent in `exps` does not fit."""
+        reach = _reach(exps)
+        if reach >= self.layout.bias:
+            return self.widen(reach)
+        return self.layout
+
     def __repr__(self):
         return f"VariableTable({list(self.names)!r})"
+
+
+def _reach(exps) -> int:
+    """Smallest r >= 0 with every exponent in [-r - 1, r]; they fit iff r < bias."""
+    if not exps:
+        return 0
+    return max(max(exps), ~min(exps), 0)
 
 
 def _check_table(a, b):
@@ -87,41 +173,120 @@ def _check_table(a, b):
         raise TableMismatchError("values belong to different variable tables")
 
 
+def _recode(d: dict, old: KeyLayout, new: KeyLayout) -> dict:
+    return {new.pack(old.unpack(k)): c for k, c in d.items()}
+
+
+def _sync(p: "LaurentPolynomial") -> KeyLayout:
+    """Re-encode p in its table's current layout, in place; return that layout."""
+    lay = p.table.layout
+    if p._lay is not lay:
+        p._d = _recode(p._d, p._lay, lay)
+        p._lay = lay
+    return lay
+
+
+def _pair(a: "LaurentPolynomial", b: "LaurentPolynomial") -> KeyLayout:
+    """Common current layout of two operands of one table."""
+    _check_table(a, b)
+    lay = a.table.layout
+    if a._lay is not lay:
+        _sync(a)
+    if b._lay is not lay:
+        _sync(b)
+    return lay
+
+
+def _add_into(d: dict, terms: dict) -> None:
+    get = d.get
+    for k, c in terms.items():
+        v = get(k, 0) + c
+        if v:
+            d[k] = v
+        else:
+            del d[k]
+
+
+def _sub_into(d: dict, terms: dict) -> None:
+    get = d.get
+    for k, c in terms.items():
+        v = get(k, 0) - c
+        if v:
+            d[k] = v
+        else:
+            del d[k]
+
+
+def _check_fields(out: dict, lay: KeyLayout) -> dict:
+    if reduce(or_, out, 0) & lay.guard:
+        raise _FieldOverflow
+    return out
+
+
+_new = object.__new__
+
+
+def _poly(table, lay, d) -> "LaurentPolynomial":
+    """Polynomial from a packed dict encoded in `lay`; no copying or checks."""
+    p = _new(LaurentPolynomial)
+    p.table = table
+    p._d = d
+    p._lay = lay
+    return p
+
+
 class LaurentPolynomial:
-    """Finite map from integer exponent tuples to nonzero integer coefficients."""
+    """Finite map from integer exponent vectors to nonzero integer coefficients.
 
-    __slots__ = ("table", "terms")
+    Stored as packed int keys; `.terms` is the tuple-keyed view.
+    """
 
-    def __init__(self, table: VariableTable, terms: dict):
+    __slots__ = ("table", "_d", "_lay")
+
+    def __init__(self, table: VariableTable, terms):
+        width = len(table)
+        items = [(exps, c) for exps, c in terms.items() if c]
+        if any(len(exps) != width for exps, _ in items):
+            raise ValueError("exponent vector length differs from the table")
+        lay = table.make_room([e for exps, _ in items for e in exps])
         self.table = table
-        self.terms = terms
+        self._lay = lay
+        self._d = {lay.pack(exps): c for exps, c in items}
+
+    @property
+    def terms(self) -> "TermsView":
+        """Read-only mapping from exponent tuples to coefficients."""
+        return TermsView(self)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, table):
-        return cls(table, {})
+        return _poly(table, table.layout, {})
 
     @classmethod
     def constant(cls, table, value: int):
         if value == 0:
-            return cls(table, {})
-        return cls(table, {(0,) * len(table): int(value)})
+            return _poly(table, table.layout, {})
+        lay = table.layout
+        return _poly(table, lay, {lay.zero: int(value)})
 
     @classmethod
     def one(cls, table):
-        return cls.constant(table, 1)
+        lay = table.layout
+        return _poly(table, lay, {lay.zero: 1})
 
     @classmethod
     def monomial(cls, table, powers: dict, coeff: int = 1):
         """Monomial from a name-or-index -> exponent mapping."""
         if coeff == 0:
-            return cls(table, {})
+            return _poly(table, table.layout, {})
         exps = [0] * len(table)
         for key, e in powers.items():
             idx = key if isinstance(key, int) else table.index(key)
             exps[idx] += int(e)
-        return cls(table, {tuple(exps): int(coeff)})
+        lay = table.make_room(exps)
+        return _poly(table, lay, {lay.pack(exps): int(coeff)})
 
     @classmethod
     def variable(cls, table, name: str, power: int = 1):
@@ -130,126 +295,125 @@ class LaurentPolynomial:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._d
 
     def is_one(self):
-        return self.terms == {(0,) * len(self.table): 1}
+        d = self._d
+        return len(d) == 1 and d.get(self._lay.zero) == 1
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self._d) == 1
 
     def is_constant(self):
-        return not self.terms or self.terms.keys() == {(0,) * len(self.table)}
+        d = self._d
+        return not d or (len(d) == 1 and self._lay.zero in d)
 
     def constant_value(self) -> int:
         if self.is_zero():
             return 0
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return next(iter(self._d.values()))
 
     def support_vars(self):
         """Indices of variables appearing with a nonzero exponent."""
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
-        return used
+        lay = self._lay
+        used = reduce(or_, map(lay.zero.__xor__, self._d), 0)
+        mask = lay.mask
+        return {i for i, s in enumerate(lay.shifts) if (used >> s) & mask}
+
+    def coefficients(self):
+        """The nonzero coefficients, in term order."""
+        return self._d.values()
+
+    def sparse_terms(self):
+        """Yield (((index, exponent), ...), coefficient) per term.
+
+        Only the nonzero exponents are listed, in variable order.
+        """
+        lay = self._lay
+        mask, bias = lay.mask, lay.bias
+        fields = [(i, lay.shifts[i]) for i in sorted(self.support_vars())]
+        for k, c in self._d.items():
+            yield tuple(
+                (i, e) for i, s in fields if (e := ((k >> s) & mask) - bias)
+            ), c
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._d)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._d)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self.table is other.table and self.terms == other.terms
+        if self.table is not other.table:
+            return False
+        if self._lay is not other._lay:
+            _sync(self)
+            _sync(other)
+        return self._d == other._d
 
     __hash__ = None
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        _check_table(self, other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            v = out.get(exps, 0) + c
-            if v:
-                out[exps] = v
-            else:
-                out.pop(exps, None)
-        return LaurentPolynomial(self.table, out)
+        lay = _pair(self, other)
+        out = dict(self._d)
+        _add_into(out, other._d)
+        return _poly(self.table, lay, out)
 
     def __sub__(self, other):
-        _check_table(self, other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            v = out.get(exps, 0) - c
-            if v:
-                out[exps] = v
-            else:
-                out.pop(exps, None)
-        return LaurentPolynomial(self.table, out)
+        lay = _pair(self, other)
+        out = dict(self._d)
+        _sub_into(out, other._d)
+        return _poly(self.table, lay, out)
 
     def __neg__(self):
-        return LaurentPolynomial(self.table, {e: -c for e, c in self.terms.items()})
+        return _poly(self.table, self._lay, {k: -c for k, c in self._d.items()})
 
     def scale(self, k: int):
         if k == 0:
             return LaurentPolynomial.zero(self.table)
         if k == 1:
             return self
-        return LaurentPolynomial(self.table, {e: c * k for e, c in self.terms.items()})
+        return _poly(self.table, self._lay, {e: c * k for e, c in self._d.items()})
 
     def __mul__(self, other):
-        _check_table(self, other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return LaurentPolynomial(self.table, {})
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) * len(b) >= 16384:
-            return LaurentPolynomial(self.table, _mul_packed(a, b, len(self.table)))
-        out: dict = {}
-        get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                v = get(key, 0) + ca * cb
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return LaurentPolynomial(self.table, out)
+        while True:
+            lay = _pair(self, other)
+            try:
+                return _poly(self.table, lay, _mul_terms(self._d, other._d, lay))
+            except _FieldOverflow:
+                self.table.widen()
 
     def __pow__(self, k: int):
         if k < 0:
             if not self.is_monomial():
                 raise ValueError("negative power of a non-monomial polynomial")
-            (exps, c), = self.terms.items()
+            (key, c), = self._d.items()
             if c not in (1, -1):
                 raise ValueError("negative power needs a unit coefficient")
-            return LaurentPolynomial(
-                self.table, {tuple(k * e for e in exps): c if k % 2 else 1}
-            )
-        result = LaurentPolynomial.one(self.table)
+            exps = [k * e for e in self._lay.unpack(key)]
+            lay = self.table.make_room(exps)
+            return _poly(self.table, lay, {lay.pack(exps): c if k % 2 else 1})
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return LaurentPolynomial.one(self.table) if result is None else result
 
     # -- content and shifts ------------------------------------------------
 
     def int_content(self) -> int:
         g = 0
-        for c in self.terms.values():
+        for c in self._d.values():
             g = gcd(g, c)
             if g == 1:
                 break
@@ -257,39 +421,49 @@ class LaurentPolynomial:
 
     def monomial_content(self):
         """Componentwise minimum exponent vector over all terms."""
-        if not self.terms:
+        d = self._d
+        if not d:
             raise ValueError("zero polynomial has no monomial content")
-        it = iter(self.terms)
-        mins = list(next(it))
-        for exps in it:
-            for i, e in enumerate(exps):
-                if e < mins[i]:
-                    mins[i] = e
+        lay = self._lay
+        if len(d) == 1:
+            return lay.unpack(next(iter(d)))
+        mask, bias = lay.mask, lay.bias
+        mins = [0] * lay.n
+        for i in self.support_vars():
+            s = lay.shifts[i]
+            mins[i] = min([(k >> s) & mask for k in d]) - bias
         return tuple(mins)
 
     def shift(self, exps):
         """Multiply by the monomial with the given exponent vector."""
-        if all(e == 0 for e in exps):
+        if not any(exps):
             return self
-        return LaurentPolynomial(
-            self.table,
-            {tuple(a + b for a, b in zip(key, exps)): c for key, c in self.terms.items()},
-        )
+        table = self.table
+        table.make_room(exps)
+        while True:
+            lay = _sync(self)
+            delta = lay.pack(exps) - lay.zero
+            try:
+                out = _check_fields({k + delta: c for k, c in self._d.items()}, lay)
+            except _FieldOverflow:
+                table.widen()
+                continue
+            return _poly(table, lay, out)
 
     def divide_int(self, k: int):
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._d.items():
             q, rem = divmod(c, k)
             if rem:
                 raise ValueError("integer content division is not exact")
             out[e] = q
-        return LaurentPolynomial(self.table, out)
+        return _poly(self.table, self._lay, out)
 
     def lead_key(self):
-        return max(self.terms)
+        return self._lay.unpack(max(self._d))
 
     def lead_coeff(self) -> int:
-        return self.terms[max(self.terms)]
+        return self._d[max(self._d)]
 
     # -- division ----------------------------------------------------------
 
@@ -297,50 +471,25 @@ class LaurentPolynomial:
         """Exact quotient self / divisor, or None if the division fails.
 
         Single-divisor elimination against the divisor's lexicographically
-        smallest term, with a lazy heap tracking the working minimum. The
-        term cap stops the non-terminating descent a genuinely inexact
-        Laurent division would produce; for nonnegative quotient and
-        divisor the quotient has at most as many terms as the dividend, so
-        the cap never fires on valid inputs.
+        smallest term, with a lazy heap of packed keys tracking the working
+        minimum. The term cap stops the non-terminating descent a genuinely
+        inexact Laurent division would produce; for nonnegative quotient
+        and divisor the quotient has at most as many terms as the dividend,
+        so the cap never fires on valid inputs.
         """
         _check_table(self, divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPolynomial.zero(self.table)
-        dmin = min(divisor.terms)
-        dcoeff = divisor.terms[dmin]
-        rest = [(e, c) for e, c in divisor.terms.items() if e != dmin]
-        work = dict(self.terms)
-        heap = list(work.keys())
-        heapq.heapify(heap)
-        out: dict = {}
-        cap = len(work) + 1000
-        while work:
-            while heap and heap[0] not in work:
-                heapq.heappop(heap)
-            if not heap:
-                return None
-            lead = heapq.heappop(heap)
-            q, rem = divmod(work[lead], dcoeff)
-            if rem:
-                return None
-            mono = tuple(a - b for a, b in zip(lead, dmin))
-            out[mono] = q
-            if len(out) > cap:
-                return None
-            del work[lead]
-            for e, c in rest:
-                key = tuple(a + b for a, b in zip(mono, e))
-                old = work.get(key)
-                v = (old or 0) - q * c
-                if v:
-                    work[key] = v
-                    if old is None:
-                        heapq.heappush(heap, key)
-                else:
-                    work.pop(key, None)
-        return LaurentPolynomial(self.table, out)
+        while True:
+            lay = _pair(self, divisor)
+            try:
+                out = _div_terms(self._d, divisor._d, lay)
+            except _FieldOverflow:
+                self.table.widen()
+                continue
+            return None if out is None else _poly(self.table, lay, out)
 
     # -- substitution ------------------------------------------------------
 
@@ -352,29 +501,15 @@ class LaurentPolynomial:
         """
         if not mapping:
             return self
-        width = len(self.table)
-        out: dict = {}
-        for exps, c in self.terms.items():
-            new = list(exps)
-            add = None
-            for idx, target in mapping.items():
-                e = new[idx]
-                if e:
-                    new[idx] = 0
-                    if add is None:
-                        add = [0] * width
-                    for i, t in enumerate(target):
-                        if t:
-                            add[i] += e * t
-            if add is not None:
-                new = [a + b for a, b in zip(new, add)]
-            key = tuple(new)
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return LaurentPolynomial(self.table, out)
+        table = self.table
+        moves = list(mapping.items())
+        table.make_room([t for _, target in moves for t in target])
+        while True:
+            lay = _sync(self)
+            out = _remap_terms(self._d, lay, lay, moves, keep=True)
+            if out is not None:
+                return _poly(table, lay, out)
+            table.widen()
 
     def transplant(self, target: VariableTable, name_map=None):
         """Re-express this polynomial on another table.
@@ -390,16 +525,21 @@ class LaurentPolynomial:
                 name = name_map[name]
             idx_map[i] = target.index(name)
         width = len(target)
-        out = {}
-        for exps, c in self.terms.items():
-            new = [0] * width
-            for i, e in enumerate(exps):
-                if e:
-                    new[idx_map[i]] += e
-            out[tuple(new)] = c
-        if len(out) != len(self.terms):
+        moves = []
+        for i in sorted(self.support_vars()):
+            unit = [0] * width
+            unit[idx_map[i]] = 1
+            moves.append((i, unit))
+        while True:
+            src = _sync(self)
+            dst = target.layout
+            out = _remap_terms(self._d, src, dst, moves, keep=False)
+            if out is not None:
+                break
+            target.widen()
+        if len(out) != len(self._d):
             raise ValueError("transplant collapsed distinct monomials")
-        return LaurentPolynomial(target, out)
+        return _poly(target, dst, out)
 
     def evaluate(self, assign: dict) -> "RationalFunction":
         """Substitute rational functions for variables.
@@ -412,20 +552,16 @@ class LaurentPolynomial:
             mapping = {i: _as_unit_monomial(v) for i, v in assign.items()}
             return RationalFunction.from_poly(self.substitute_monomials(mapping))
         total = RationalFunction.zero(self.table)
-        for exps, c in self.terms.items():
-            rest = [0] * len(self.table)
+        for powers, c in self.sparse_terms():
+            rest = {}
             value = RationalFunction.constant(self.table, c)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
+            for i, e in powers:
                 if i in assign:
                     value = value * assign[i] ** e
                 else:
                     rest[i] = e
-            if any(rest):
-                value = value * RationalFunction.from_poly(
-                    LaurentPolynomial(self.table, {tuple(rest): 1})
-                )
+            if rest:
+                value = value * RationalFunction.monomial(self.table, rest)
             total = total + value
         return total
 
@@ -438,91 +574,224 @@ class LaurentPolynomial:
         return f"<poly {self.render()}>"
 
 
-def _mul_packed(a: dict, b: dict, width: int) -> dict:
-    """Large product via single-integer exponent keys.
+class _TermItems(ItemsView):
+    def __iter__(self):
+        p = self._mapping._p
+        unpack = p._lay.unpack
+        for k, c in p._d.items():
+            yield unpack(k), c
 
-    Exponents are shifted to per-operand minima and packed into disjoint
-    bit fields sized to the exact result span, so key addition is one
-    integer add with no carries between fields.
+
+class TermsView(Mapping):
+    """Tuple-keyed, read-only view of a polynomial's packed terms.
+
+    `len` is O(1); iteration decodes keys on the fly, in term order.
     """
-    def bounds(terms):
-        it = iter(terms)
-        first = next(it)
-        lo = list(first)
-        hi = list(first)
-        for key in it:
-            for i, e in enumerate(key):
-                if e < lo[i]:
-                    lo[i] = e
-                elif e > hi[i]:
-                    hi[i] = e
-        return lo, hi
 
-    lo_a, hi_a = bounds(a)
-    lo_b, hi_b = bounds(b)
-    bits = [
-        ((hi_a[i] - lo_a[i]) + (hi_b[i] - lo_b[i]) + 1).bit_length()
-        for i in range(width)
-    ]
-    shifts = [0] * width
-    acc = 0
-    for i in range(width - 1, -1, -1):
-        shifts[i] = acc
-        acc += bits[i]
+    __slots__ = ("_p",)
 
-    def pack(terms, lo):
-        packed = []
-        for key, c in terms.items():
-            v = 0
-            for i in range(width):
-                e = key[i] - lo[i]
-                if e:
-                    v += e << shifts[i]
-            packed.append((v, c))
-        return packed
+    def __init__(self, p: LaurentPolynomial):
+        self._p = p
 
-    pa = pack(a, lo_a)
-    pb = pack(b, lo_b)
+    def __len__(self):
+        return len(self._p._d)
+
+    def __iter__(self):
+        p = self._p
+        return map(p._lay.unpack, p._d)
+
+    def __getitem__(self, exps):
+        p = self._p
+        lay = p._lay
+        if len(exps) != lay.n or any(not -lay.bias <= e < lay.bias for e in exps):
+            raise KeyError(exps)
+        return p._d[lay.pack(exps)]
+
+    def items(self):
+        return _TermItems(self)
+
+    def values(self):
+        return self._p._d.values()
+
+    def __repr__(self):
+        return f"TermsView({dict(self.items())!r})"
+
+
+def _mul_terms(a: dict, b: dict, lay: KeyLayout) -> dict:
+    """Schoolbook product of two packed term dicts.
+
+    One loop for every operand size; a one-term operand is a key shift.
+    Raises _FieldOverflow when some product exponent leaves its field.
+    """
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    zero = lay.zero
+    if len(a) == 1:
+        (ka, ca), = a.items()
+        ka -= zero
+        if ca == 1:
+            out = {kb + ka: cb for kb, cb in b.items()}
+        else:
+            out = {kb + ka: cb * ca for kb, cb in b.items()}
+        return _check_fields(out, lay) if ka else out
     out: dict = {}
     get = out.get
-    for ka, ca in pa:
-        for kb, cb in pb:
+    for ka, ca in a.items():
+        ka -= zero
+        for kb, cb in b.items():
             key = ka + kb
             v = get(key, 0) + ca * cb
             if v:
                 out[key] = v
             else:
                 del out[key]
-    masks = [(1 << bits[i]) - 1 for i in range(width)]
-    lo = [lo_a[i] + lo_b[i] for i in range(width)]
-    result = {}
-    for key, c in out.items():
-        exps = tuple(
-            ((key >> shifts[i]) & masks[i]) + lo[i] for i in range(width)
-        )
-        result[exps] = c
-    return result
+    return _check_fields(out, lay)
+
+
+def _div_terms(a: dict, b: dict, lay: KeyLayout):
+    """Exact quotient of packed term dicts, or None; see exact_div."""
+    zero, guard = lay.zero, lay.guard
+    dmin = min(b)
+    dcoeff = b[dmin]
+    rest = [(k - zero, c) for k, c in b.items() if k != dmin]
+    offset = zero - dmin
+    work = dict(a)
+    heap = list(work)
+    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    out: dict = {}
+    cap = len(work) + 1000
+    while work:
+        while heap and heap[0] not in work:
+            heappop(heap)
+        if not heap:
+            return None
+        lead = heappop(heap)
+        q, rem = divmod(work[lead], dcoeff)
+        if rem:
+            return None
+        mono = lead + offset
+        if mono & guard:
+            raise _FieldOverflow
+        out[mono] = q
+        if len(out) > cap:
+            return None
+        del work[lead]
+        get = work.get
+        for e, c in rest:
+            key = mono + e
+            old = get(key)
+            if old is None:
+                if key & guard:
+                    raise _FieldOverflow
+                work[key] = -q * c
+                heappush(heap, key)
+            else:
+                v = old - q * c
+                if v:
+                    work[key] = v
+                else:
+                    del work[key]
+    return out
+
+
+def _remap_terms(d: dict, src: KeyLayout, dst: KeyLayout, moves, keep: bool):
+    """Linear exponent remap of packed terms, or None if `dst` is too narrow.
+
+    Each (i, target) in `moves` sends the exponent e of source variable i
+    to e * target, a vector in `dst`'s table. With `keep` (same layout) the
+    other fields stay and field i is cleared; otherwise every key starts
+    from dst's zero. Colliding images are summed. A bound on the image
+    exponents is checked before the loop and the guard bits after it.
+    """
+    mask, bias = src.mask, src.bias
+    reach = [0] * dst.n
+    plan = []
+    for i, target in moves:
+        s = src.shifts[i]
+        fields = [(k >> s) & mask for k in d]
+        if not fields:
+            break
+        amp = max(max(fields) - bias, bias - min(fields))
+        for j, t in enumerate(target):
+            if t:
+                reach[j] += amp * abs(t)
+        delta = dst.pack(target) - dst.zero
+        if keep:
+            delta -= src.units[i]
+        plan.append((s, delta))
+    if max(reach, default=0) > dst.bias:
+        return None
+    start = dst.zero
+    out: dict = {}
+    get = out.get
+    for k, c in d.items():
+        new = k if keep else start
+        for s, delta in plan:
+            e = ((k >> s) & mask) - bias
+            if e:
+                new += e * delta
+        v = get(new, 0) + c
+        if v:
+            out[new] = v
+        else:
+            del out[new]
+    if reduce(or_, out, 0) & dst.guard:
+        return None
+    return out
+
+
+class _TermSum:
+    """Running sum of polynomials of one table, as one packed dict."""
+
+    __slots__ = ("table", "lay", "d")
+
+    def __init__(self, table):
+        self.table = table
+        self.lay = table.layout
+        self.d = {}
+
+    def _align(self, p) -> dict:
+        lay = _sync(p)
+        if self.lay is not lay:
+            self.d = _recode(self.d, self.lay, lay)
+            self.lay = lay
+        return self.d
+
+    def add(self, p):
+        _add_into(self._align(p), p._d)
+
+    def sub(self, p):
+        _sub_into(self._align(p), p._d)
+
+    def poly(self) -> LaurentPolynomial:
+        return _poly(self.table, self.lay, self.d)
 
 
 def _as_unit_monomial(f: "RationalFunction"):
     """Exponent vector if f is a single monomial with coefficient 1, else None."""
-    if len(f.num.terms) != 1 or len(f.den.terms) != 1:
+    num, den = f.num, f.den
+    if len(num._d) != 1 or len(den._d) != 1:
         return None
-    (en, cn), = f.num.terms.items()
-    (ed, cd), = f.den.terms.items()
+    (kn, cn), = num._d.items()
+    (kd, cd), = den._d.items()
     if cn != 1 or cd != 1:
         return None
-    return tuple(a - b for a, b in zip(en, ed))
+    return tuple(a - b for a, b in zip(num._lay.unpack(kn), den._lay.unpack(kd)))
 
 
 def render_poly(p: LaurentPolynomial) -> str:
     """Canonical text form: terms ascending by total degree, then exponents."""
-    if not p.terms:
+    if not p:
         return "0"
     names = p.table.names
     parts = []
-    for exps in sorted(p.terms, key=lambda e: (sum(e), tuple(-v for v in e))):
-        c = p.terms[exps]
+    items = sorted(
+        p.terms.items(), key=lambda t: (sum(t[0]), tuple(-v for v in t[0]))
+    )
+    for exps, c in items:
         factors = []
         for i, e in enumerate(exps):
             if e == 0:
@@ -542,13 +811,53 @@ def render_poly(p: LaurentPolynomial) -> str:
     return " ".join(parts)
 
 
+def swap_variables(p: LaurentPolynomial, i: int, j: int) -> LaurentPolynomial:
+    """p with variables i and j exchanged, one field swap per key."""
+    if i == j:
+        return p
+    lay = p._lay
+    si, sj, mask = lay.shifts[i], lay.shifts[j], lay.mask
+    diff = lay.units[i] - lay.units[j]
+    return _poly(
+        p.table,
+        lay,
+        {k + (((k >> sj) & mask) - ((k >> si) & mask)) * diff: c for k, c in p._d.items()},
+    )
+
+
+def split_terms(p: LaurentPolynomial, idx) -> dict:
+    """Group the terms of p by their exponents at the variables `idx`.
+
+    Returns a dict from exponent tuples over `idx` (in that order) to the
+    polynomial in the remaining variables collected at that tuple.
+    """
+    lay = p._lay
+    sel = lay.field_mask(idx)
+    keep = ~sel
+    base = lay.zero & sel
+    groups: dict = {}
+    for k, c in p._d.items():
+        g = k & sel
+        sub = groups.get(g)
+        if sub is None:
+            groups[g] = sub = {}
+        sub[(k & keep) | base] = c
+    mask, bias = lay.mask, lay.bias
+    shifts = [lay.shifts[i] for i in idx]
+    return {
+        tuple(((g >> s) & mask) - bias for s in shifts): _poly(p.table, lay, sub)
+        for g, sub in groups.items()
+    }
+
+
 class RationalFunction:
     """Quotient of two Laurent polynomials over the same table.
 
-    Normalization keeps the denominator free of monomial content, makes
-    its leading coefficient positive, and cancels the common integer
-    content of the two parts. Nothing stronger is attempted; `__eq__`
-    cross-multiplies.
+    Normalization divides both parts by the denominator's monomial content
+    (so the denominator has none), makes the coefficient of its
+    lexicographically largest term positive, and cancels the common
+    integer content of the two parts. Nothing stronger is attempted;
+    `__eq__` cross-multiplies.
     """
 
     __slots__ = ("num", "den")
@@ -565,7 +874,7 @@ class RationalFunction:
             self.num = num
             self.den = LaurentPolynomial.one(num.table)
             return
-        if num.terms == den.terms:
+        if num == den:
             self.num = LaurentPolynomial.one(num.table)
             self.den = LaurentPolynomial.one(num.table)
             return
@@ -619,7 +928,7 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_one(self):
-        return self.num.terms == self.den.terms
+        return self.num == self.den
 
     def __bool__(self):
         return not self.is_zero()
@@ -630,9 +939,9 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         _check_table(self, other)
-        if self.num.terms == other.num.terms and self.den.terms == other.den.terms:
+        if self.num == other.num and self.den == other.den:
             return True
-        return (self.num * other.den).terms == (other.num * self.den).terms
+        return self.num * other.den == other.num * self.den
 
     __hash__ = None
 
@@ -644,7 +953,7 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
-        if self.den.terms == other.den.terms:
+        if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
@@ -662,10 +971,10 @@ class RationalFunction:
         b_num, b_den = other.num, other.den
         # cancel identical cross factors; this is what keeps mutation
         # formulas from accumulating repeated blocks of spent denominators
-        if a_num.terms == b_den.terms and a_num.terms:
+        if a_num and a_num == b_den:
             a_num = LaurentPolynomial.one(a_num.table)
             b_den = LaurentPolynomial.one(a_num.table)
-        if b_num.terms == a_den.terms and b_num.terms:
+        if b_num and b_num == a_den:
             b_num = LaurentPolynomial.one(a_num.table)
             a_den = LaurentPolynomial.one(a_num.table)
         return RationalFunction(a_num * b_num, a_den * b_den)
@@ -696,9 +1005,9 @@ class RationalFunction:
             return self.num.render()
         num = self.num.render()
         den = self.den.render()
-        if len(self.num.terms) > 1:
+        if len(self.num) > 1:
             num = f"({num})"
-        if len(self.den.terms) > 1:
+        if len(self.den) > 1:
             den = f"({den})"
         return f"{num}/{den}"
 
@@ -717,8 +1026,10 @@ class FactoredFraction:
     Multiplicative operations merge factor exponents, so a factor
     introduced by one mutation cancels symbolically when a later mutation
     divides by it again; nothing is multiplied out until a caller asks for
-    the expanded fraction. Factors are keyed by their term dictionaries, so
-    equal polynomials always share one slot no matter how they were built.
+    the expanded fraction. Factors are keyed by their packed term
+    dictionaries, so equal polynomials share one slot no matter how they
+    were built (as long as the table's layout has not widened in between;
+    `ff_eq` re-keys, so equality never depends on it).
     """
 
     __slots__ = ("table", "factors")
@@ -729,7 +1040,8 @@ class FactoredFraction:
 
     @staticmethod
     def _key(p: LaurentPolynomial):
-        return frozenset(p.terms.items())
+        _sync(p)
+        return frozenset(p._d.items())
 
     @classmethod
     def one(cls, table):
@@ -817,11 +1129,11 @@ class FactoredFraction:
             for _ in range(abs(e)):
                 if e > 0:
                     num = num * p
-                    if term_limit is not None and len(num.terms) > term_limit:
+                    if term_limit is not None and len(num) > term_limit:
                         raise TermLimitError(f"expansion exceeds {term_limit} terms")
                 else:
                     den = den * p
-                    if term_limit is not None and len(den.terms) > term_limit:
+                    if term_limit is not None and len(den) > term_limit:
                         raise TermLimitError(f"expansion exceeds {term_limit} terms")
         return num, den
 
@@ -906,7 +1218,7 @@ def ff_eq(a: FactoredFraction, b: FactoredFraction, term_limit=None) -> bool:
                 den = den * p
             if term_limit is not None and max(len(num), len(den)) > term_limit:
                 raise TermLimitError(f"equality residual exceeds {term_limit} terms")
-    return num.terms == den.terms
+    return num == den
 
 
 def ff_add(a: FactoredFraction, b: FactoredFraction) -> FactoredFraction:
@@ -927,22 +1239,7 @@ def ff_add(a: FactoredFraction, b: FactoredFraction) -> FactoredFraction:
     return FactoredFraction.from_poly(na + nb) * common_ff.inverse()
 
 
-def ratfn_product(factors) -> RationalFunction:
-    out = None
-    for f in factors:
-        out = f if out is None else out * f
-    if out is None:
-        raise ValueError("empty product needs a table")
-    return out
-
-
 # -- block symmetry and elementary symmetric rewriting ----------------------
-
-
-def _swap_key(key, i, j):
-    lst = list(key)
-    lst[i], lst[j] = lst[j], lst[i]
-    return tuple(lst)
 
 
 def block_symmetric(p: LaurentPolynomial, block) -> bool:
@@ -953,61 +1250,54 @@ def block_symmetric(p: LaurentPolynomial, block) -> bool:
     """
     block = list(block)
     for a in range(len(block) - 1):
-        i, j = block[a], block[a + 1]
-        swapped = {_swap_key(key, i, j): c for key, c in p.terms.items()}
-        if swapped != p.terms:
+        if swap_variables(p, block[a], block[a + 1])._d != p._d:
             return False
     return True
 
 
 def elementary_symmetric(table, block, degree: int) -> LaurentPolynomial:
     """Expanded elementary symmetric polynomial of the block variables."""
-    out = {}
-    width = len(table)
-    for combo in itertools.combinations(block, degree):
-        exps = [0] * width
-        for idx in combo:
-            exps[idx] = 1
-        out[tuple(exps)] = 1
     if degree == 0:
         return LaurentPolynomial.one(table)
-    return LaurentPolynomial(table, out)
+    lay = table.layout
+    units = lay.units
+    out = {lay.zero + sum(units[i] for i in combo): 1
+           for combo in itertools.combinations(block, degree)}
+    return _poly(table, lay, out)
 
 
 def _reduce_one_block(p: LaurentPolynomial, s_idx, e_idx) -> LaurentPolynomial:
     table = p.table
     if not block_symmetric(p, s_idx):
         raise NotBlockSymmetricError("not block-symmetric")
-    done: dict = {}
-    work = dict(p.terms)
+    # for a symmetric input the lexicographic leader of a permutation-closed
+    # set of block vectors is the same partition in any variable order, so
+    # the block is read in table order: a masked key compares like the
+    # block's exponent tuple
+    s_idx = sorted(s_idx)
+    work = _TermSum(table)
+    work.add(p)
+    done = _TermSum(table)
     expanded_cache = {}
-    while work:
-        best = None
-        for key in work:
-            bv = tuple(key[i] for i in s_idx)
-            if best is None or bv > best:
-                best = bv
-        if not any(best):
-            for key, c in work.items():
-                v = done.get(key, 0) + c
-                if v:
-                    done[key] = v
-                else:
-                    done.pop(key, None)
+    while work.d:
+        lay = work.lay
+        sel = lay.field_mask(s_idx)
+        keep = ~sel
+        base_key = lay.zero & sel
+        best = max([k & sel for k in work.d])
+        if best == base_key:
+            done.add(work.poly())
             break
-        if any(best[a] < best[a + 1] for a in range(len(best) - 1)):
+        bv = [lay.exponent(best, i) for i in s_idx]
+        if any(bv[a] < bv[a + 1] for a in range(len(bv) - 1)):
             raise NotBlockSymmetricError("not block-symmetric")
-        coeff_terms = {}
-        for key, c in work.items():
-            if tuple(key[i] for i in s_idx) == best:
-                stripped = list(key)
-                for i in s_idx:
-                    stripped[i] = 0
-                coeff_terms[tuple(stripped)] = c
-        coeff = LaurentPolynomial(table, coeff_terms)
-        mults = [best[a] - best[a + 1] for a in range(len(best) - 1)] + [best[-1]]
+        coeff = _poly(
+            table, lay,
+            {(k & keep) | base_key: c for k, c in work.d.items() if k & sel == best},
+        )
+        mults = [bv[a] - bv[a + 1] for a in range(len(bv) - 1)] + [bv[-1]]
         e_mono = [0] * len(table)
-        expansion = LaurentPolynomial.one(table)
+        expansion = None
         for deg0, m in enumerate(mults):
             if not m:
                 continue
@@ -1016,22 +1306,11 @@ def _reduce_one_block(p: LaurentPolynomial, s_idx, e_idx) -> LaurentPolynomial:
             if base is None:
                 base = elementary_symmetric(table, s_idx, deg0 + 1)
                 expanded_cache[deg0] = base
-            expansion = expansion * base ** m
-        contribution = coeff * LaurentPolynomial(table, {tuple(e_mono): 1})
-        for key, c in contribution.terms.items():
-            v = done.get(key, 0) + c
-            if v:
-                done[key] = v
-            else:
-                done.pop(key, None)
-        sub = coeff * expansion
-        for key, c in sub.terms.items():
-            v = work.get(key, 0) - c
-            if v:
-                work[key] = v
-            else:
-                work.pop(key, None)
-    return LaurentPolynomial(table, done)
+            power = base ** m
+            expansion = power if expansion is None else expansion * power
+        done.add(coeff.shift(e_mono))
+        work.sub(coeff * expansion)
+    return done.poly()
 
 
 def elementary_reduce(p: LaurentPolynomial, blocks) -> LaurentPolynomial:
@@ -1044,14 +1323,14 @@ def elementary_reduce(p: LaurentPolynomial, blocks) -> LaurentPolynomial:
     ValueError when p is not polynomial in the block variables or already
     mentions an e-symbol.
     """
-    for s_idx, e_idx in blocks:
-        for exps in p.terms:
-            for i in s_idx:
-                if exps[i] < 0:
-                    raise ValueError("not polynomial in the splitting variables")
-            for i in e_idx:
-                if exps[i]:
-                    raise ValueError("input already mentions an elementary symbol")
+    if p:
+        content = p.monomial_content()
+        support = p.support_vars()
+        for s_idx, e_idx in blocks:
+            if any(content[i] < 0 for i in s_idx):
+                raise ValueError("not polynomial in the splitting variables")
+            if support.intersection(e_idx):
+                raise ValueError("input already mentions an elementary symbol")
     out = p
     for s_idx, e_idx in blocks:
         out = _reduce_one_block(out, s_idx, e_idx)
@@ -1112,7 +1391,7 @@ def _split_s_content(p: LaurentPolynomial, symbols: ElementarySymbols):
             for i in b.s_idx:
                 shift[i] = -exps[0]
     if any(shift):
-        p = p.shift(tuple(shift))
+        p = p.shift(shift)
     return p
 
 
@@ -1160,52 +1439,44 @@ def _symmetric_value(p: LaurentPolynomial, symbols: ElementarySymbols) -> Ration
     for b in symbols.blocks:
         if not block_symmetric(p, b.s_idx):
             raise PsiDomainError("not in domain of psi_hat")
+    lay = _sync(p)
+    mask, bias = lay.mask, lay.bias
+    block_shifts = [tuple(lay.shifts[i] for i in b.s_idx) for b in symbols.blocks]
+    sel = lay.field_mask(symbols.all_s_indices())
+    keep = ~sel
+    base_key = lay.zero & sel
+    # one representative per orbit: block fields non-increasing in s order
     classes = {}
-    for exps, c in p.terms.items():
+    for k, c in p._d.items():
         lams = []
-        rest = list(exps)
-        representative = True
-        for b in symbols.blocks:
-            vals = tuple(exps[i] for i in b.s_idx)
-            lam = tuple(sorted(vals, reverse=True))
-            if vals != lam:
-                representative = False
+        for shifts in block_shifts:
+            vals = tuple([(k >> s) & mask for s in shifts])
+            if list(vals) != sorted(vals, reverse=True):
                 break
-            lams.append(lam)
-            for i in b.s_idx:
-                rest[i] = 0
-        if not representative:
-            continue
-        classes[(tuple(lams), tuple(rest))] = c
-    total: dict = {}
-
-    def accumulate(poly):
-        for key, v in poly.terms.items():
-            newv = total.get(key, 0) + v
-            if newv:
-                total[key] = newv
-            else:
-                total.pop(key, None)
-
+            lams.append(vals)
+        else:
+            classes[(tuple(lams), (k & keep) | base_key)] = c
+    total = _TermSum(table)
     rf_total = None
     for (lams, rest), c in classes.items():
         value = None
         plain = True
         for b_index, lam in enumerate(lams):
+            lam = tuple(v - bias for v in lam)
             if not any(lam):
                 continue
             v = _monomial_class_value(symbols, b_index, lam)
             plain = plain and v.den.is_one()
             value = v if value is None else value * v
-        base = LaurentPolynomial(table, {rest: c})
+        base = _poly(table, lay, {rest: c})
         if value is None:
-            accumulate(base)
+            total.add(base)
         elif plain and value.den.is_one():
-            accumulate(base * value.num)
+            total.add(base * value.num)
         else:
             part = RationalFunction.from_poly(base) * value
             rf_total = part if rf_total is None else rf_total + part
-    poly_total = LaurentPolynomial(table, total)
+    poly_total = total.poly()
     if rf_total is None:
         return RationalFunction.from_poly(poly_total)
     return rf_total + RationalFunction.from_poly(poly_total)
@@ -1217,9 +1488,9 @@ _CERT_LIMIT = 2000
 def _part_image(p: LaurentPolynomial, symbols: ElementarySymbols,
                 require_nonneg: bool) -> RationalFunction:
     """Image of one fraction part, certifying cone membership when feasible."""
-    if require_nonneg and len(p.terms) <= _CERT_LIMIT:
+    if require_nonneg and len(p) <= _CERT_LIMIT:
         reduced = symmetric_e_form(p, symbols)
-        if any(c < 0 for c in reduced.terms.values()):
+        if any(c < 0 for c in reduced.coefficients()):
             raise PsiConeError("not in domain of psi_hat")
         return reduced.evaluate(symbols.target_assignment())
     return _symmetric_value(p, symbols)
@@ -1247,9 +1518,7 @@ def psi_hat_factored(ff: "FactoredFraction", symbols: ElementarySymbols,
         while frontier:
             cur = frontier.pop()
             for i, j in swaps:
-                img = LaurentPolynomial(
-                    table, {_swap_key(key, i, j): c for key, c in cur.terms.items()}
-                )
+                img = swap_variables(cur, i, j)
                 k = FactoredFraction._key(img)
                 if k not in seen:
                     seen[k] = img
@@ -1320,31 +1589,21 @@ def cross_evaluate(poly: LaurentPolynomial, assign: dict,
             unit = None
             break
         unit[idx] = mono
-    width = len(target)
     if unit is not None:
-        out: dict = {}
-        for exps, c in poly.terms.items():
-            new = [0] * width
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                mono = unit[i]
-                for t, me in enumerate(mono):
-                    if me:
-                        new[t] += e * me
-            key = tuple(new)
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return RationalFunction.from_poly(LaurentPolynomial(target, out))
+        moves = [(i, unit[i]) for i in sorted(poly.support_vars())]
+        target.make_room([t for _, mono in moves for t in mono])
+        while True:
+            src = _sync(poly)
+            dst = target.layout
+            out = _remap_terms(poly._d, src, dst, moves, keep=False)
+            if out is not None:
+                return RationalFunction.from_poly(_poly(target, dst, out))
+            target.widen()
     total = RationalFunction.zero(target)
-    for exps, c in poly.terms.items():
+    for powers, c in poly.sparse_terms():
         value = RationalFunction.constant(target, c)
-        for i, e in enumerate(exps):
-            if e:
-                value = value * assign[i] ** e
+        for i, e in powers:
+            value = value * assign[i] ** e
         total = total + value
     return total
 
@@ -1360,25 +1619,9 @@ def laurent_expand(f: RationalFunction, main_idx):
     `main_idx`, in that order) to RationalFunction coefficients, or None
     when f is not Laurent in the main variables.
     """
-    table = f.table
     main = list(main_idx)
-
-    def split(poly):
-        out = {}
-        for exps, c in poly.terms.items():
-            key = tuple(exps[i] for i in main)
-            rest = list(exps)
-            for i in main:
-                rest[i] = 0
-            mono = LaurentPolynomial(table, {tuple(rest): c})
-            if key in out:
-                out[key] = out[key] + mono
-            else:
-                out[key] = mono
-        return out
-
-    num = {k: RationalFunction.from_poly(v) for k, v in split(f.num).items()}
-    den = {k: RationalFunction.from_poly(v) for k, v in split(f.den).items()}
+    num = {k: RationalFunction.from_poly(v) for k, v in split_terms(f.num, main).items()}
+    den = {k: RationalFunction.from_poly(v) for k, v in split_terms(f.den, main).items()}
     dlead = max(den)
     dcoeff = den[dlead]
     out = {}

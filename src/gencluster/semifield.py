@@ -155,8 +155,8 @@ class SemifieldElement:
             raise SemifieldMismatchError("semifield mismatch")
         if value.is_zero():
             raise ValueError("zero is not a semifield element")
-        if any(c < 0 for c in value.num.terms.values()) or any(
-            c < 0 for c in value.den.terms.values()
+        if any(c < 0 for c in value.num.coefficients()) or any(
+            c < 0 for c in value.den.coefficients()
         ):
             raise ValueError("universal elements must be subtraction-free")
         allowed = set(kind.gen_idx)
@@ -439,14 +439,12 @@ def evaluate_poly_semifield(poly: LaurentPolynomial, assign: dict, kind: Semifie
     variable assigned. Returns a semifield element or the zero marker.
     """
     acc = None
-    for exps, c in poly.terms.items():
+    for powers, c in poly.sparse_terms():
         if c < 0:
             raise ValueError("not in NP")
         value = None
         dead = False
-        for i, e in enumerate(exps):
-            if not e:
-                continue
+        for i, e in powers:
             base = assign[i]
             if base is P0_ZERO:
                 if e < 0:
@@ -502,18 +500,19 @@ def _tropicalize_factored(ff: FactoredFraction, kind: SemifieldKind) -> Semifiel
     gen_pos = {table.index(g): i for i, g in enumerate(kind.generators)}
     vec = [0] * len(kind.generators)
     for p, e in ff.factors.values():
-        mins = None
-        for exps in p.terms:
-            cur = [0] * len(kind.generators)
-            for i, ev in enumerate(exps):
-                if ev:
-                    if i not in gen_pos:
-                        raise ValueError("cannot tropicalize a non-generator variable")
-                    cur[gen_pos[i]] = ev
-            mins = cur if mins is None else [min(a, b) for a, b in zip(mins, cur)]
-        if mins is not None:
-            vec = [v + e * m for v, m in zip(vec, mins)]
+        _add_tropical_content(vec, p, e, gen_pos)
     return SemifieldElement.tropical(kind, vec)
+
+
+def _add_tropical_content(vec, p: LaurentPolynomial, e: int, gen_pos) -> None:
+    """Add e times p's minimum exponent vector, over the generators, into vec."""
+    if not p:
+        return
+    if p.support_vars() - gen_pos.keys():
+        raise ValueError("cannot tropicalize a non-generator variable")
+    content = p.monomial_content()
+    for i, g in gen_pos.items():
+        vec[g] += e * content[i]
 
 
 def _tropicalize(f: RationalFunction, kind: SemifieldKind) -> SemifieldElement:
@@ -522,17 +521,7 @@ def _tropicalize(f: RationalFunction, kind: SemifieldKind) -> SemifieldElement:
     gen_pos = {table.index(g): i for i, g in enumerate(kind.generators)}
     vec = [0] * len(kind.generators)
     for part, sign in ((f.num, 1), (f.den, -1)):
-        mins = None
-        for exps, c in part.terms.items():
-            if c < 0:
-                raise ValueError("cannot tropicalize a signed polynomial")
-            cur = [0] * len(kind.generators)
-            for i, e in enumerate(exps):
-                if e:
-                    if i not in gen_pos:
-                        raise ValueError("cannot tropicalize a non-generator variable")
-                    cur[gen_pos[i]] = e
-            mins = cur if mins is None else [min(a, b) for a, b in zip(mins, cur)]
-        if mins is not None:
-            vec = [v + sign * m for v, m in zip(vec, mins)]
+        if any(c < 0 for c in part.coefficients()):
+            raise ValueError("cannot tropicalize a signed polynomial")
+        _add_tropical_content(vec, part, sign, gen_pos)
     return SemifieldElement.tropical(kind, vec)

@@ -24,6 +24,8 @@ from .polyring import (
     ff_eq,
     psi_hat,
     psi_hat_factored,
+    split_terms,
+    swap_variables,
 )
 from .pattern import (
     ExchangeMatrix,
@@ -47,6 +49,7 @@ from .composite import (
     composite_walk_y,
     enlarge,
     sigma_of_word,
+    slot_name,
 )
 from .invariants import (
     CompositeInvariants,
@@ -253,14 +256,10 @@ def _relation_table(n, r):
     names = [f"y{i + 1}" for i in range(n)]
     for i in range(n):
         for l in range(r[i] - 1):
-            names.append(_rel_name("z", i, l))
-    s_names = [_rel_name("s", i, l) for i in range(n) for l in range(r[i])]
-    e_names = [_rel_name("e", i, l) for i in range(n) for l in range(r[i])]
+            names.append(slot_name("z", i, l, n))
+    s_names = [slot_name("s", i, l, n) for i in range(n) for l in range(r[i])]
+    e_names = [slot_name("e", i, l, n) for i in range(n) for l in range(r[i])]
     return VariableTable(names + s_names + e_names)
-
-
-def _rel_name(prefix, i, l):
-    return f"{prefix}{i + 1}{l + 1}" if i < 9 and l < 9 else f"{prefix}{i + 1}_{l + 1}"
 
 
 def _relation_symbols(table, n, r):
@@ -268,15 +267,15 @@ def _relation_symbols(table, n, r):
 
     blocks = []
     for i in range(n):
-        s_idx = tuple(table.index(_rel_name("s", i, l)) for l in range(r[i]))
-        e_idx = tuple(table.index(_rel_name("e", i, l)) for l in range(r[i]))
+        s_idx = tuple(table.index(slot_name("s", i, l, n)) for l in range(r[i]))
+        e_idx = tuple(table.index(slot_name("e", i, l, n)) for l in range(r[i]))
         targets = []
         for l in range(r[i]):
             if l == r[i] - 1:
                 targets.append(RationalFunction.one(table))
             else:
                 targets.append(
-                    RationalFunction.variable(table, _rel_name("z", i, l))
+                    RationalFunction.variable(table, slot_name("z", i, l, n))
                 )
         blocks.append(SymbolBlock(s_idx=s_idx, e_idx=e_idx, targets=tuple(targets)))
     return ElementarySymbols(table=table, blocks=tuple(blocks))
@@ -300,7 +299,7 @@ def _f_relation_endpoint(ge, ce, r, failures, counter) -> None:
                 elif m == swap[2]:
                     slot = swap[1]
             assign[flat] = RationalFunction.monomial(
-                table, {_rel_name("s", j, slot): 1, f"y{j + 1}": 1}
+                table, {slot_name("s", j, slot, n): 1, f"y{j + 1}": 1}
             )
         return assign
 
@@ -332,10 +331,10 @@ def _stepwise_table(n, r):
     names = [f"y{i + 1}" for i in range(n)]
     for i in range(n):
         for l in range(r[i] - 1):
-            names.append(_rel_name("z", i, l))
+            names.append(slot_name("z", i, l, n))
     names += [f"phi{i + 1}" for i in range(n)]
-    names += [_rel_name("s", i, l) for i in range(n) for l in range(r[i])]
-    names += [_rel_name("e", i, l) for i in range(n) for l in range(r[i])]
+    names += [slot_name("s", i, l, n) for i in range(n) for l in range(r[i])]
+    names += [slot_name("e", i, l, n) for i in range(n) for l in range(r[i])]
     names.append("qarg")
     return VariableTable(names)
 
@@ -414,7 +413,7 @@ def _f_relation_step(ge, ce, k, table, symbols, failures, counter) -> None:
     qprod = LaurentPolynomial.one(table)
     for l in range(rk):
         factor = LaurentPolynomial.one(table) + LaurentPolynomial.monomial(
-            table, {_rel_name("s", k0, l): sigma, "qarg": 1}
+            table, {slot_name("s", k0, l, n): sigma, "qarg": 1}
         )
         qprod = qprod * factor
     qimage = psi_hat(RationalFunction.from_poly(qprod), symbols)
@@ -511,12 +510,6 @@ def check_f_symmetry(B: ExchangeMatrix, r, word) -> CheckReport:
     return _f_symmetry_from_engine(ce, word)
 
 
-def _swap_tuple(key, i, j):
-    lst = list(key)
-    lst[i], lst[j] = lst[j], lst[i]
-    return tuple(lst)
-
-
 def relation_suite(B: ExchangeMatrix, r, depth: int = 4,
                    endpoint_limit: int = 2_000_000):
     """All invariant-relation checks on every reduced word up to a depth.
@@ -567,13 +560,7 @@ def _f_symmetry_from_engine(ce: CompositeInvariants, word) -> CheckReport:
                     return flat
 
                 for flat, (i, l) in enumerate(pairs):
-                    swapped = LaurentPolynomial(
-                        ce.table,
-                        {
-                            _swap_tuple(key, fa, fb): c
-                            for key, c in ce.F[flat].terms.items()
-                        },
-                    )
+                    swapped = swap_variables(ce.F[flat], fa, fb)
                     tested += 1
                     if swapped != ce.F[image(flat)]:
                         failures.append(
@@ -598,8 +585,7 @@ def check_laurent_positive(seed0: GeneralizedSeed, word) -> CheckReport:
         rf = x.expand()
         if not (rf.den.is_one() and rf.num.is_monomial()):
             raise ValueError("initial cluster variables must be plain variables")
-        (exps, _), = rf.num.terms.items()
-        main.update(i for i, e in enumerate(exps) if e)
+        main.update(rf.num.support_vars())
     failures = []
     tested = 0
     for i in range(seed0.n):
@@ -628,23 +614,21 @@ def _laurent_positive_one(ff: FactoredFraction, main) -> str:
             if q is None:
                 return "not Laurent in the initial cluster"
             num = q
-    if not all(c > 0 for c in den_gen.terms.values()):
+    if not all(c > 0 for c in den_gen.coefficients()):
         return "coefficient denominator is not cone-positive"
-    groups: dict = {}
-    for exps, c in num.terms.items():
-        key = tuple(exps[v] if v in main else 0 for v in range(len(table)))
-        rest = tuple(0 if v in main else exps[v] for v in range(len(table)))
-        groups.setdefault(key, {})[rest] = groups.get(key, {}).get(rest, 0) + c
-    for key, terms in groups.items():
-        if all(c > 0 for c in terms.values()):
+    main = sorted(main)
+    for mono, group in split_terms(num, main).items():
+        if all(c > 0 for c in group.coefficients()):
             continue
-        group = LaurentPolynomial(table, {k: v for k, v in terms.items() if v})
         q = group.exact_div(den_gen)
         if q is None or not (
-            all(c > 0 for c in q.terms.values())
-            or all(c < 0 for c in q.terms.values())
+            all(c > 0 for c in q.coefficients())
+            or all(c < 0 for c in q.coefficients())
         ):
-            return f"coefficient at {key} not cone-positive"
+            key = [0] * len(table)
+            for v, e in zip(main, mono):
+                key[v] = e
+            return f"coefficient at {tuple(key)} not cone-positive"
     return ""
 
 
@@ -715,7 +699,7 @@ def random_generalized_seed(rng: random.Random, nmax: int = 3, rmax: int = 3,
     kind_name = rng.choice(kinds)
     if kind_name == "universal":
         gens = [f"y{i + 1}" for i in range(n)] + [
-            _rel_name("z", i, l) for i in range(n) for l in range(r[i] - 1)
+            slot_name("z", i, l, n) for i in range(n) for l in range(r[i] - 1)
         ]
     elif kind_name == "tropical":
         gens = [f"u{i + 1}" for i in range(max(2, n))]
@@ -748,7 +732,7 @@ def random_generalized_seed(rng: random.Random, nmax: int = 3, rmax: int = 3,
             if kind_name == "universal":
                 coeffs.append(
                     GroupRingElement.of(
-                        SemifieldElement.generator(kind, _rel_name("z", i, l))
+                        SemifieldElement.generator(kind, slot_name("z", i, l, n))
                     )
                 )
             elif kind_name == "tropical":
