@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .polyring import LaurentPolynomial
 from .composite import Realization, block_offsets, build_realization, enlarge, sigma_of_word
-from .pattern import ExchangeMatrix
+from .pattern import ExchangeMatrix, render_matrix
 from .invariants import CompositeInvariants, GeneralizedInvariants
 
 CASE_WORD = (1, 2, 1)
@@ -261,10 +261,6 @@ class TableCheckResult:
             self.flagged += 1
 
 
-def _fmt(rows) -> str:
-    return "[" + ",".join("[" + ",".join(str(v) for v in row) + "]" for row in rows) + "]"
-
-
 def _golden_poly(table, terms) -> LaurentPolynomial:
     out = LaurentPolynomial.zero(table)
     for coeff, mono in terms:
@@ -287,8 +283,8 @@ def run_table_check(case: int) -> TableCheckResult:
         TableEntry(
             label="enlargement example",
             status="match" if got == want else "mismatch",
-            expected=_fmt(want),
-            got=_fmt(got),
+            expected=render_matrix(want),
+            got=render_matrix(got),
         )
     )
 
@@ -336,8 +332,8 @@ def run_table_check(case: int) -> TableCheckResult:
                 TableEntry(
                     label=f"{label} at t{t}",
                     status="match" if computed == expected else "mismatch",
-                    expected=_fmt(expected),
-                    got=_fmt(computed),
+                    expected=render_matrix(expected),
+                    got=render_matrix(computed),
                 )
             )
 
@@ -383,8 +379,8 @@ def _flag_known_discrepancy(result, computed, expected, case, r) -> TableEntry:
         return TableEntry(
             label=f"{known['matrix']} at t{known['vertex']}",
             status="mismatch",
-            expected=_fmt(expected),
-            got=_fmt(computed),
+            expected=render_matrix(expected),
+            got=render_matrix(computed),
             note="disagreement outside the known entry",
         )
     recursion_value = computed[i0][j0]
@@ -415,7 +411,7 @@ def _flag_known_discrepancy(result, computed, expected, case, r) -> TableEntry:
     return TableEntry(
         label=f"{known['matrix']} at t{known['vertex']}",
         status="mismatch",
-        expected=_fmt(expected),
-        got=_fmt(computed),
+        expected=render_matrix(expected),
+        got=render_matrix(computed),
         note="cross-checks failed to confirm the known entry",
     )

@@ -22,7 +22,9 @@ Each exchange-polynomial row lists its coefficients from the constant to
 the leading term; a coefficient is a list of {multiplicity, monomial}
 group-ring terms and both endpoints must be exactly one. Exit codes:
 0 all checks passed, 1 a check or golden comparison failed, 2 usage or
-document errors.
+document errors, 3 the computation stopped without a verdict (an
+arithmetic error such as an inexact recursion step, or a term budget
+exceeded).
 """
 
 from __future__ import annotations
@@ -36,8 +38,10 @@ from .cases import case_document, run_table_check
 from .composite import Realization, build_realization
 from .invariants import CompositeInvariants, GeneralizedInvariants
 from .pattern import check_word, render_matrix, walk
+from .polyring import TermLimitError
 from .verify import (
     CHECKS,
+    ExpressionSwellError,
     check_enlargement_commutes,
     random_instance,
     random_realization,
@@ -431,6 +435,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, TermLimitError, ExpressionSwellError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

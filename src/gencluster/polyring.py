@@ -8,8 +8,8 @@ key is one int holding the whole exponent vector in bit fields laid out by
 the table (`KeyLayout`), and `.terms` shows the same map with exponent
 tuples as keys. A rational function is a pair of polynomials normalized
 only by integer content, monomial content and denominator sign. Equality
-of fractions is decided by cross-multiplication, never by canonical form,
-so no multivariate GCD is needed anywhere.
+of fractions is decided by exact cofactor division or cross-multiplication,
+never by canonical form, so no multivariate GCD is needed anywhere.
 
 The module also provides the block-symmetry test for the splitting
 variables, the rewriting of a block-symmetric polynomial into elementary
@@ -472,10 +472,14 @@ class LaurentPolynomial:
 
         Single-divisor elimination against the divisor's lexicographically
         smallest term, with a lazy heap of packed keys tracking the working
-        minimum. The term cap stops the non-terminating descent a genuinely
-        inexact Laurent division would produce; for nonnegative quotient
-        and divisor the quotient has at most as many terms as the dividend,
-        so the cap never fires on valid inputs.
+        minimum, so quotient keys come out in increasing order. Lex order
+        is translation-invariant, so an exact quotient's largest key is
+        max(self) - max(divisor): the division fails as soon as a quotient
+        key passes that bound, and at once when the bound is below
+        min(self) - min(divisor), the smallest quotient key. The term cap
+        stops what the bound cannot; for nonnegative quotient and divisor
+        the quotient has at most as many terms as the dividend, so the cap
+        never fires on valid inputs.
         """
         _check_table(self, divisor)
         if divisor.is_zero():
@@ -657,6 +661,12 @@ def _div_terms(a: dict, b: dict, lay: KeyLayout):
     dcoeff = b[dmin]
     rest = [(k - zero, c) for k, c in b.items() if k != dmin]
     offset = zero - dmin
+    # An exact quotient's keys run from min(a) - min(b) up to max(a) - max(b).
+    # Each exponent of such a difference is below the field base in size, so
+    # these keys compare as their exponent vectors do even outside the fields.
+    top = max(a) - max(b) + zero
+    if min(a) + offset > top:
+        return None
     work = dict(a)
     heap = list(work)
     heapq.heapify(heap)
@@ -673,6 +683,8 @@ def _div_terms(a: dict, b: dict, lay: KeyLayout):
         if rem:
             return None
         mono = lead + offset
+        if mono > top:
+            return None
         if mono & guard:
             raise _FieldOverflow
         out[mono] = q
@@ -856,8 +868,10 @@ class RationalFunction:
     Normalization divides both parts by the denominator's monomial content
     (so the denominator has none), makes the coefficient of its
     lexicographically largest term positive, and cancels the common
-    integer content of the two parts. Nothing stronger is attempted;
-    `__eq__` cross-multiplies.
+    integer content of the two parts. Nothing stronger is attempted.
+    `__eq__` decides a/b == c/d by dividing one numerator by the other:
+    if c = a*k exactly, the fractions are equal iff d == b*k. Only when
+    neither numerator divides the other does it cross-multiply.
     """
 
     __slots__ = ("num", "den")
@@ -939,9 +953,23 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         _check_table(self, other)
-        if self.num == other.num and self.den == other.den:
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a == c and b == d:
             return True
-        return self.num * other.den == other.num * self.den
+        if not a or not c:
+            return not a and not c
+        # a/b == c/d iff a*d == c*b. When c = a*k exactly, that holds iff
+        # d == b*k (a is nonzero), so one division and a product by the
+        # usually small cofactor k decide it; likewise the other way round.
+        if len(c) >= len(a):
+            k = c.exact_div(a)
+            if k is not None:
+                return d == b * k
+        if len(a) >= len(c):
+            k = a.exact_div(c)
+            if k is not None:
+                return b == d * k
+        return a * d == c * b
 
     __hash__ = None
 
@@ -1016,7 +1044,7 @@ class RationalFunction:
 
 
 def ratfn_eq(f: RationalFunction, g: RationalFunction) -> bool:
-    """Exact equality of fractions by cross-multiplication."""
+    """Exact equality of fractions: cofactor division, else cross-multiplication."""
     return f == g
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gencluster.cases import case_document
+from gencluster import cli
 from gencluster.cli import (
     SeedDocumentError,
     load_seed,
@@ -10,6 +11,8 @@ from gencluster.cli import (
     parse_seed_document,
     render_seed_document,
 )
+from gencluster.polyring import TermLimitError
+from gencluster.verify import ExpressionSwellError
 
 
 def test_round_trip_is_identity():
@@ -89,6 +92,22 @@ def test_verify_unknown_check(capsys):
 def test_verify_bound_exceeded(capsys):
     assert main(["verify", "--seed", "case1", "--depth", "9"]) == 2
     assert "bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    ArithmeticError("polynomial recursion step is not exactly divisible"),
+    TermLimitError("expansion exceeds 10 terms"),
+    ExpressionSwellError("equality residual exceeds 10 terms"),
+])
+def test_verify_stopped_computation_exits_three(capsys, monkeypatch, error):
+    def raiser(*args):
+        raise error
+
+    monkeypatch.setitem(cli.CHECKS, "enlargement", raiser)
+    assert main(["verify", "--seed", "case1", "--check", "enlargement", "--depth", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 def test_verify_random_requires_rng_seed(capsys):
