@@ -11,7 +11,6 @@ from .polyring import (
     VariableTable,
     block_symmetric,
     elementary_reduce,
-    laurent_expand,
     psi_hat,
     ratfn_eq,
 )

@@ -322,78 +322,6 @@ def f_polynomials(pattern: str, B: ExchangeMatrix, r, word):
     return eng.table, list(eng.F)
 
 
-# -- closed per-block forms, used as the redundant cross-check ---------------
-
-
-def composite_c_step_closed(C, bcore, r, k0):
-    """Whole-block C update computed directly from block data."""
-    size = len(C)
-    offs = block_offsets(r)
-    pairs = block_pairs(r)
-    out = [row[:] for row in C]
-    for a in range(size):
-        for b, (j, m) in enumerate(pairs):
-            if j == k0:
-                out[a][b] = -C[a][b]
-            else:
-                acc = C[a][b]
-                for p in range(r[k0]):
-                    cakp = C[a][offs[k0] + p]
-                    acc += cakp * pos(bcore[k0][j]) + pos(-cakp) * bcore[k0][j]
-                out[a][b] = acc
-    return out
-
-
-def composite_g_step_closed(G, C, bcore, b0core, r, k0):
-    """Whole-block G update computed directly from block data."""
-    size = len(G)
-    offs = block_offsets(r)
-    pairs = block_pairs(r)
-    out = [row[:] for row in G]
-    for a, (i, l) in enumerate(pairs):
-        for m in range(r[k0]):
-            b = offs[k0] + m
-            acc = -G[a][b]
-            for ap, (j, p) in enumerate(pairs):
-                acc += G[a][ap] * pos(-bcore[j][k0]) - b0core[i][j] * pos(-C[ap][b])
-            out[a][b] = acc
-    return out
-
-
-def composite_f_step_closed(F, C, bcore, r, k0, table):
-    """Whole-block F update through the product closed form."""
-    size = len(F)
-    pairs = block_pairs(r)
-    offs = block_offsets(r)
-    out = list(F)
-    for m in range(r[k0]):
-        f = offs[k0] + m
-        plus = LaurentPolynomial.one(table)
-        minus = LaurentPolynomial.one(table)
-        mono_p, mono_m = {}, {}
-        for jm in range(size):
-            c = C[jm][f]
-            if c > 0:
-                mono_p[jm] = c
-            elif c < 0:
-                mono_m[jm] = -c
-        if mono_p:
-            plus = plus * LaurentPolynomial.monomial(table, mono_p)
-        if mono_m:
-            minus = minus * LaurentPolynomial.monomial(table, mono_m)
-        for jm, (j, _) in enumerate(pairs):
-            b = bcore[j][k0]
-            if b > 0:
-                plus = plus * F[jm] ** b
-            elif b < 0:
-                minus = minus * F[jm] ** (-b)
-        q = (plus + minus).exact_div(F[f])
-        if q is None:
-            raise ArithmeticError("closed-form polynomial step is not exactly divisible")
-        out[f] = q
-    return out
-
-
 # -- separation formulas -----------------------------------------------------
 
 

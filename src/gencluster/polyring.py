@@ -25,7 +25,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
-from operator import or_
+from operator import ge, or_
 
 
 class TableMismatchError(ValueError):
@@ -621,25 +621,41 @@ class TermsView(Mapping):
         return f"TermsView({dict(self.items())!r})"
 
 
-def _mul_terms(a: dict, b: dict, lay: KeyLayout) -> dict:
-    """Schoolbook product of two packed term dicts.
+# Term pairs from which a product of two multi-term operands tries the
+# packed-coefficient route; below it the schoolbook loop is faster.
+_PACKED_MIN_PAIRS = 4096
 
-    One loop for every operand size; a one-term operand is a key shift.
+
+def _mul_terms(a: dict, b: dict, lay: KeyLayout) -> dict:
+    """Product of two packed term dicts.
+
+    A one-term operand is a key shift; products of at least
+    _PACKED_MIN_PAIRS term pairs try `_mul_packed`, and everything else
+    (and every product it declines) runs the schoolbook loop.
     Raises _FieldOverflow when some product exponent leaves its field.
     """
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
-    zero = lay.zero
     if len(a) == 1:
         (ka, ca), = a.items()
-        ka -= zero
+        ka -= lay.zero
         if ca == 1:
             out = {kb + ka: cb for kb, cb in b.items()}
         else:
             out = {kb + ka: cb * ca for kb, cb in b.items()}
         return _check_fields(out, lay) if ka else out
+    if len(a) * len(b) >= _PACKED_MIN_PAIRS:
+        out = _mul_packed(a, b, lay)
+        if out is not None:
+            return out
+    return _mul_school(a, b, lay)
+
+
+def _mul_school(a: dict, b: dict, lay: KeyLayout) -> dict:
+    """Schoolbook product of two packed term dicts: one loop over the pairs."""
+    zero = lay.zero
     out: dict = {}
     get = out.get
     for ka, ca in a.items():
@@ -652,6 +668,97 @@ def _mul_terms(a: dict, b: dict, lay: KeyLayout) -> dict:
             else:
                 del out[key]
     return _check_fields(out, lay)
+
+
+def _mul_packed(a: dict, b: dict, lay: KeyLayout):
+    """Product of two packed term dicts through packed coefficients, or None.
+
+    One variable i is made dense. Masking field i out of every key splits
+    each operand into groups of terms sharing their other exponents; i is
+    the variable with the fewest pairs of groups, ga * gb, and the product
+    is declined (None) when 4 * ga * gb > len(a) * len(b), where a pair of
+    groups would hold fewer than four term pairs on average. Each group
+    becomes one int holding the coefficient of x_i^(lo + j) in its w-bit
+    slot j, with lo the group's own lowest exponent of x_i, kept in the
+    group's key. Multiplying two such ints multiplies the two univariate
+    polynomials, and the products of every pair of groups with equal key
+    sums are added into one int.
+
+    Exactness: a slot of a summed int is a partial sum of one output
+    coefficient, over term pairs of which each term of one operand is in
+    at most one. So it is at most B = max|a| * max|b| * min(len a, len b)
+    in size, and w = bit_length(B) + 1 keeps every slot inside
+    (-2**(w-1), 2**(w-1)). An int's digits in base 2**w drawn from that
+    range are unique, so decoding them recovers every coefficient exactly.
+    Each decoded key is the same int the schoolbook loop forms for that
+    monomial, so field overflow is detected as there.
+    """
+    la, lb = len(a), len(b)
+    mask = lay.mask
+    a0, b0 = next(iter(a)), next(iter(b))
+    varies = reduce(or_, map(a0.__xor__, a), 0) | reduce(or_, map(b0.__xor__, b), 0)
+    best, shift = la * lb, None
+    for s in lay.shifts:
+        if (varies >> s) & mask:
+            keep = ~(mask << s)
+            g = len({k & keep for k in a}) * len({k & keep for k in b})
+            if g < best:
+                best, shift = g, s
+    if 4 * best > la * lb:
+        return None
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(la, lb)
+    w = bound.bit_length() + 1
+    pa = _pack_groups(a, shift, mask, w)
+    pb = list(_pack_groups(b, shift, mask, w).items())
+    zero = lay.zero
+    acc: dict = {}
+    get = acc.get
+    for ka, va in pa.items():
+        ka -= zero
+        for kb, vb in pb:
+            key = ka + kb
+            acc[key] = get(key, 0) + va * vb
+    del pa, pb
+    unit = 1 << shift
+    full = 1 << w
+    half, low = full >> 1, full - 1
+    out: dict = {}
+    get = out.get
+    while acc:
+        key, v = acc.popitem()
+        while v:
+            c = v & low
+            v >>= w
+            if c >= half:
+                c -= full
+                v += 1
+            if c:
+                c += get(key, 0)
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+            key += unit
+    return _check_fields(out, lay)
+
+
+def _pack_groups(d: dict, shift: int, mask: int, w: int) -> dict:
+    """Group key (field at `shift` set to the group's lowest value) -> packed int."""
+    keep = ~(mask << shift)
+    groups: dict = {}
+    for k, c in d.items():
+        r = k & keep
+        item = ((k >> shift) & mask, c)
+        g = groups.get(r)
+        if g is None:
+            groups[r] = [item]
+        else:
+            g.append(item)
+    out = {}
+    for r, items in groups.items():
+        lo = min(items)[0]
+        out[r | (lo << shift)] = sum(c << (w * (f - lo)) for f, c in items)
+    return out
 
 
 def _div_terms(a: dict, b: dict, lay: KeyLayout):
@@ -862,6 +969,17 @@ def split_terms(p: LaurentPolynomial, idx) -> dict:
     }
 
 
+def _spans(p: LaurentPolynomial) -> list:
+    """Each variable's exponent span, max - min over the terms of nonzero p."""
+    lay, d = p._lay, p._d
+    mask = lay.mask
+    out = []
+    for s in lay.shifts:
+        fields = [(k >> s) & mask for k in d]
+        out.append(max(fields) - min(fields))
+    return out
+
+
 class RationalFunction:
     """Quotient of two Laurent polynomials over the same table.
 
@@ -870,8 +988,10 @@ class RationalFunction:
     lexicographically largest term positive, and cancels the common
     integer content of the two parts. Nothing stronger is attempted.
     `__eq__` decides a/b == c/d by dividing one numerator by the other:
-    if c = a*k exactly, the fractions are equal iff d == b*k. Only when
-    neither numerator divides the other does it cross-multiply.
+    if c = a*k exactly, the fractions are equal iff d == b*k. A division
+    is tried only when each variable's exponent span of the dividend is at
+    least the divisor's. Only when neither numerator divides the other
+    does it cross-multiply.
     """
 
     __slots__ = ("num", "den")
@@ -961,11 +1081,15 @@ class RationalFunction:
         # a/b == c/d iff a*d == c*b. When c = a*k exactly, that holds iff
         # d == b*k (a is nonzero), so one division and a product by the
         # usually small cofactor k decide it; likewise the other way round.
-        if len(c) >= len(a):
+        # Exponent spans add under multiplication, so c = a*k needs
+        # span(c) >= span(a) in every variable; a division that cannot
+        # succeed is not started, as its descent may run to the term cap.
+        sa, sc = _spans(a), _spans(c)
+        if len(c) >= len(a) and all(map(ge, sc, sa)):
             k = c.exact_div(a)
             if k is not None:
                 return d == b * k
-        if len(a) >= len(c):
+        if len(a) >= len(c) and all(map(ge, sa, sc)):
             k = a.exact_div(c)
             if k is not None:
                 return b == d * k
@@ -1634,41 +1758,3 @@ def cross_evaluate(poly: LaurentPolynomial, assign: dict,
             value = value * assign[i] ** e
         total = total + value
     return total
-
-
-# -- Laurent expansion over a distinguished variable group ------------------
-
-
-def laurent_expand(f: RationalFunction, main_idx):
-    """Expand f as a Laurent polynomial in the main variables.
-
-    Coefficients live in the fraction field of the remaining variables.
-    Returns a dict from main-variable exponent tuples (restricted to
-    `main_idx`, in that order) to RationalFunction coefficients, or None
-    when f is not Laurent in the main variables.
-    """
-    main = list(main_idx)
-    num = {k: RationalFunction.from_poly(v) for k, v in split_terms(f.num, main).items()}
-    den = {k: RationalFunction.from_poly(v) for k, v in split_terms(f.den, main).items()}
-    dlead = max(den)
-    dcoeff = den[dlead]
-    out = {}
-    cap = 4 * (len(num) + 1) * (len(den) + 1) + 64
-    steps = 0
-    while num:
-        steps += 1
-        if steps > cap:
-            return None
-        lead = max(num)
-        q = num[lead] / dcoeff
-        key = tuple(a - b for a, b in zip(lead, dlead))
-        out[key] = q
-        for dk, dv in den.items():
-            nk = tuple(a + b for a, b in zip(key, dk))
-            cur = num.get(nk)
-            update = cur - q * dv if cur is not None else -(q * dv)
-            if update.is_zero():
-                num.pop(nk, None)
-            else:
-                num[nk] = update
-    return out

@@ -218,3 +218,19 @@ def test_quotient_beyond_the_field_bound_is_still_found():
     q = a.exact_div(b)
     assert dict(q.terms) == {(32767, 0): 1, (32767, 1): 2}
     assert q * b == a
+
+
+@pytest.mark.parametrize("g, h", [(K, L), (L, K), (poly({(0, 0, 0): 1, (1, 0, 0): 1}),
+                                                  poly({(0, 0, 0): 1, (0, 1, 0): 2}))])
+def test_equality_skips_a_division_the_exponent_spans_rule_out(pops, g, h):
+    # A*g / A*h would be g/h, a series that can stay below the quotient
+    # bound, so the descent may run to the term cap (it does for the last
+    # pair). An exact quotient needs each exponent span of the dividend to
+    # reach the divisor's, and A*g is narrower than A*h in some variable
+    # either way, so __eq__ starts neither division and cross-multiplies.
+    f, other = RationalFunction(A * g, B * g), RationalFunction(A * h, B * h)
+    assert (A * g).exact_div(A * h) is None and (A * h).exact_div(A * g) is None
+    pops[0] = 0
+    check(f, other, True)
+    check(f, RationalFunction(A * h, B * g), False)
+    assert pops[0] == 0

@@ -3,20 +3,17 @@ import random
 import pytest
 
 from gencluster.cases import case_realization
-from gencluster.composite import block_offsets, composite_walk, sigma_of_word
+from gencluster.composite import block_offsets, block_pairs, composite_walk, sigma_of_word
 from gencluster.invariants import (
     CompositeInvariants,
     GeneralizedInvariants,
     c_matrix,
-    composite_c_step_closed,
-    composite_f_step_closed,
-    composite_g_step_closed,
     f_polynomials,
     g_matrix,
     separation_reconstruct_composite,
     separation_reconstruct_generalized,
 )
-from gencluster.pattern import ExchangeMatrix, reduced_words, walk
+from gencluster.pattern import ExchangeMatrix, pos, reduced_words, walk
 from gencluster.polyring import LaurentPolynomial
 from gencluster.semifield import sf_eq
 from gencluster.verify import random_instance
@@ -89,6 +86,79 @@ def test_tracked_polynomial_reversal():
     assert eng.zcoeff(1, 1) == z22  # direction 2 untouched by a step in 1
     eng.step(2)
     assert eng.zcoeff(1, 1) == z21
+
+
+# Closed per-block forms, computed directly from block data: the redundant
+# cross-check of the composite engine's block step.
+
+
+def composite_c_step_closed(C, bcore, r, k0):
+    """Whole-block C update computed directly from block data."""
+    size = len(C)
+    offs = block_offsets(r)
+    pairs = block_pairs(r)
+    out = [row[:] for row in C]
+    for a in range(size):
+        for b, (j, m) in enumerate(pairs):
+            if j == k0:
+                out[a][b] = -C[a][b]
+            else:
+                acc = C[a][b]
+                for p in range(r[k0]):
+                    cakp = C[a][offs[k0] + p]
+                    acc += cakp * pos(bcore[k0][j]) + pos(-cakp) * bcore[k0][j]
+                out[a][b] = acc
+    return out
+
+
+def composite_g_step_closed(G, C, bcore, b0core, r, k0):
+    """Whole-block G update computed directly from block data."""
+    size = len(G)
+    offs = block_offsets(r)
+    pairs = block_pairs(r)
+    out = [row[:] for row in G]
+    for a, (i, l) in enumerate(pairs):
+        for m in range(r[k0]):
+            b = offs[k0] + m
+            acc = -G[a][b]
+            for ap, (j, p) in enumerate(pairs):
+                acc += G[a][ap] * pos(-bcore[j][k0]) - b0core[i][j] * pos(-C[ap][b])
+            out[a][b] = acc
+    return out
+
+
+def composite_f_step_closed(F, C, bcore, r, k0, table):
+    """Whole-block F update through the product closed form."""
+    size = len(F)
+    pairs = block_pairs(r)
+    offs = block_offsets(r)
+    out = list(F)
+    for m in range(r[k0]):
+        f = offs[k0] + m
+        plus = LaurentPolynomial.one(table)
+        minus = LaurentPolynomial.one(table)
+        mono_p, mono_m = {}, {}
+        for jm in range(size):
+            c = C[jm][f]
+            if c > 0:
+                mono_p[jm] = c
+            elif c < 0:
+                mono_m[jm] = -c
+        if mono_p:
+            plus = plus * LaurentPolynomial.monomial(table, mono_p)
+        if mono_m:
+            minus = minus * LaurentPolynomial.monomial(table, mono_m)
+        for jm, (j, _) in enumerate(pairs):
+            b = bcore[j][k0]
+            if b > 0:
+                plus = plus * F[jm] ** b
+            elif b < 0:
+                minus = minus * F[jm] ** (-b)
+        q = (plus + minus).exact_div(F[f])
+        if q is None:
+            raise ArithmeticError("closed-form polynomial step is not exactly divisible")
+        out[f] = q
+    return out
 
 
 @pytest.mark.parametrize("word", [(1,), (2, 1), (1, 2, 1)])

@@ -17,10 +17,10 @@ from gencluster.polyring import (
     elementary_symmetric,
     ff_add,
     ff_eq,
-    laurent_expand,
     psi_hat,
     psi_hat_factored,
     ratfn_eq,
+    split_terms,
 )
 
 
@@ -348,6 +348,41 @@ def test_cross_evaluate_monomial_and_general():
         one + a
     ) * a * a * RationalFunction.constant(dst, 3)
     assert general == expect
+
+
+def laurent_expand(f: RationalFunction, main_idx):
+    """Expand f as a Laurent polynomial in the main variables.
+
+    Coefficients live in the fraction field of the remaining variables.
+    Returns a dict from main-variable exponent tuples (restricted to
+    `main_idx`, in that order) to RationalFunction coefficients, or None
+    when f is not Laurent in the main variables.
+    """
+    main = list(main_idx)
+    num = {k: RationalFunction.from_poly(v) for k, v in split_terms(f.num, main).items()}
+    den = {k: RationalFunction.from_poly(v) for k, v in split_terms(f.den, main).items()}
+    dlead = max(den)
+    dcoeff = den[dlead]
+    out = {}
+    cap = 4 * (len(num) + 1) * (len(den) + 1) + 64
+    steps = 0
+    while num:
+        steps += 1
+        if steps > cap:
+            return None
+        lead = max(num)
+        q = num[lead] / dcoeff
+        key = tuple(a - b for a, b in zip(lead, dlead))
+        out[key] = q
+        for dk, dv in den.items():
+            nk = tuple(a + b for a, b in zip(key, dk))
+            cur = num.get(nk)
+            update = cur - q * dv if cur is not None else -(q * dv)
+            if update.is_zero():
+                num.pop(nk, None)
+            else:
+                num[nk] = update
+    return out
 
 
 def test_laurent_expand_and_render():
