@@ -303,10 +303,15 @@ def cmd_verify(args) -> int:
         if name not in CHECKS:
             known = ", ".join(sorted(CHECKS))
             raise SeedDocumentError(f"unknown check {args.check!r}: expected one of {known}")
-    if args.depth > MAX_DEPTH:
-        raise SeedDocumentError(f"depth exceeds the supported bound {MAX_DEPTH}")
-    if args.trials > MAX_TRIALS:
-        raise SeedDocumentError(f"trials exceed the supported bound {MAX_TRIALS}")
+    # an empty range of words or trials would make a vacuous pass
+    if not 1 <= args.depth <= MAX_DEPTH:
+        raise SeedDocumentError(
+            f"depth {args.depth} is outside the supported bounds 1..{MAX_DEPTH}"
+        )
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise SeedDocumentError(
+            f"trials {args.trials} is outside the supported bounds 1..{MAX_TRIALS}"
+        )
 
     import random
 

@@ -150,6 +150,11 @@ def composite_mutate(seed: CompositeSeed, k: int) -> CompositeSeed:
     The inner mutations commute because the diagonal block vanishes at
     composite vertices, which is asserted before touching anything.
     """
+    return _block_step(seed, k, mutate_seed)
+
+
+def _block_step(seed: CompositeSeed, k: int, mutate) -> CompositeSeed:
+    """Apply the ordinary `mutate` to each slot of block k (1-based), in slot order."""
     n = seed.n
     if not 1 <= k <= n:
         raise IndexError("direction out of range")
@@ -162,7 +167,15 @@ def composite_mutate(seed: CompositeSeed, k: int) -> CompositeSeed:
                 raise ValueError("diagonal block is nonzero; not a composite vertex")
     ordinary = seed.ordinary
     for l in range(seed.r[k0]):
-        ordinary = mutate_seed(ordinary, offs[k0] + l + 1)
+        ordinary = mutate(ordinary, offs[k0] + l + 1)
+    return _flip_block(seed, k0, ordinary)
+
+
+def _flip_block(seed: CompositeSeed, k0: int, ordinary: GeneralizedSeed) -> CompositeSeed:
+    """The composite seed over `ordinary` once block k0 (0-based) has moved.
+
+    Block k0's sign flips and its exchange polynomial is reversed.
+    """
     sigma = list(seed.sigma)
     sigma[k0] = -sigma[k0]
     Zt = list(seed.Zt)
@@ -248,11 +261,7 @@ def composite_mutate_closed(seed: CompositeSeed, k: int) -> CompositeSeed:
         Z=ordinary.Z,
         B=ExchangeMatrix(new_big.rows, ordinary.B.d),
     )
-    sigma = list(seed.sigma)
-    sigma[k0] = -sigma[k0]
-    Zt = list(seed.Zt)
-    Zt[k0] = Zt[k0].reciprocal()
-    return CompositeSeed(ordinary=new_ord, r=seed.r, sigma=tuple(sigma), Zt=tuple(Zt))
+    return _flip_block(seed, k0, new_ord)
 
 
 def _one_oplus(y: SemifieldElement) -> SemifieldElement:
@@ -268,20 +277,8 @@ def composite_walk(seed: CompositeSeed, word) -> CompositeSeed:
 
 
 def composite_mutate_y(seed: CompositeSeed, k: int) -> CompositeSeed:
-    """Block mutation of the coefficient side only."""
-    n = seed.n
-    if not 1 <= k <= n:
-        raise IndexError("direction out of range")
-    k0 = k - 1
-    offs = block_offsets(seed.r)
-    ordinary = seed.ordinary
-    for l in range(seed.r[k0]):
-        ordinary = mutate_y_seed(ordinary, offs[k0] + l + 1)
-    sigma = list(seed.sigma)
-    sigma[k0] = -sigma[k0]
-    Zt = list(seed.Zt)
-    Zt[k0] = Zt[k0].reciprocal()
-    return CompositeSeed(ordinary=ordinary, r=seed.r, sigma=tuple(sigma), Zt=tuple(Zt))
+    """Block mutation of the coefficient side only, at a composite vertex."""
+    return _block_step(seed, k, mutate_y_seed)
 
 
 def composite_walk_y(seed: CompositeSeed, word) -> CompositeSeed:

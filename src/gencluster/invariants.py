@@ -2,12 +2,13 @@
 
 The two walk engines below are purely combinatorial: they consume only an
 initial exchange matrix and the degree vector, and fold the integer-matrix
-and polynomial recursions along a reduced word. The generalized engine
-tracks one polynomial per direction whose interior coefficients are formal
-variables and reverse order whenever their direction moves; the composite
-engine runs the degree-one recursions at pseudo-rank size, one whole block
-per step. Initial seed data enters only in the separation formulas at the
-end, which rebuild cluster variables and coefficients from the invariants.
+and polynomial recursions along a reduced word. Both run one step routine.
+The generalized engine tracks one polynomial per direction whose interior
+coefficients are formal variables and reverse order whenever their
+direction moves. The composite engine is the degree-one engine on the
+enlarged matrix, at pseudo-rank size, driven one whole block per step.
+Initial seed data enters only in the separation formulas at the end, which
+rebuild cluster variables and coefficients from the invariants.
 """
 
 from __future__ import annotations
@@ -46,28 +47,145 @@ def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-class GeneralizedInvariants:
+class _InvariantWalk:
+    """The C-, G- and F-recursions and the matrix mutation of one step.
+
+    Both engines run them: the generalized one in its n directions with
+    their degrees and formal z-coefficients, the composite one in the
+    pseudo-rank directions of the enlarged matrix, all of degree one with
+    unit coefficients. Variable j of `table` is the y-variable of
+    direction j. A subclass sets `r`, the degrees of the directions it
+    walks in, and `step`, which walks one of them.
+    """
+
+    def __init__(self, B: ExchangeMatrix, degrees, names, track_f: bool):
+        self.degrees = tuple(degrees)
+        self.track_f = track_f
+        self.table = VariableTable(names)
+        self.B0 = B.rows
+        self.B = B.rows
+        self.C = _identity(B.n)
+        self.G = _identity(B.n)
+        self.F = [LaurentPolynomial.one(self.table) for _ in range(B.n)]
+        self.word = ()
+
+    def step_numerator(self, k0: int, zcoeff=None, fvals=None, table=None,
+                       products=None, block=()) -> LaurentPolynomial:
+        """Exchange numerator of the polynomial step in direction k0.
+
+        The numerator is the sum over l of z_l times a y-monomial times
+        the F-part, the product of F_j^((rk-l)[-b_j]+ + l[b_j]+). `zcoeff(l)`
+        gives z_l; None means unit coefficients. With `fvals`/`table`
+        overridden this assembles the same expression over formal
+        stand-ins, which is how the stepwise relation checker compares
+        engines without expanding anything big.
+
+        `products` caches the F-parts of B-columns that vanish on the
+        directions `block`: stepping inside the block changes neither such
+        a column nor the F_j it reads, so the slots of one block step share
+        them.
+        """
+        rk = self.degrees[k0]
+        table = table if table is not None else self.table
+        fvals = fvals if fvals is not None else self.F
+        colB = tuple(row[k0] for row in self.B)
+        if products is None or any(colB[g] for g in block):
+            products = {}
+        if colB not in products:
+            products[colB] = _f_parts(colB, rk, fvals, table)
+        num = None
+        for l, part in enumerate(products[colB]):
+            term = LaurentPolynomial.monomial(table, {
+                j: (rk - l) * pos(-row[k0]) + l * pos(row[k0]) for j, row in enumerate(self.C)
+            })
+            # a product by 1 would still pass over every term of the other side
+            z = LaurentPolynomial.one(table) if zcoeff is None else zcoeff(l)
+            for factor in (z, part):
+                if not factor.is_one():
+                    term = factor if term.is_one() else factor * term
+            num = term if num is None else num + term
+        return num
+
+    def _step(self, f: int, zcoeff=None, products=None, block=()) -> None:
+        """One mutation in direction f (0-based) of degree `degrees[f]`."""
+        n, rf = len(self.B), self.degrees[f]
+        B, C, G = self.B, self.C, self.G
+
+        new_Ff = None
+        if self.track_f:
+            num = self.step_numerator(f, zcoeff, products=products, block=block)
+            new_Ff = num.exact_div(self.F[f])
+            if new_Ff is None:
+                raise ArithmeticError("polynomial recursion step is not exactly divisible")
+
+        newC = [row[:] for row in C]
+        for i in range(n):
+            for j in range(n):
+                if j == f:
+                    newC[i][j] = -C[i][f]
+                else:
+                    newC[i][j] = C[i][j] + rf * (
+                        C[i][f] * pos(B[f][j]) + pos(-C[i][f]) * B[f][j]
+                    )
+        newG = [row[:] for row in G]
+        for i in range(n):
+            acc = -G[i][f]
+            for a in range(n):
+                acc += rf * (G[i][a] * pos(-B[a][f]) - self.B0[i][a] * pos(-C[a][f]))
+            newG[i][f] = acc
+
+        if self.track_f:
+            self.F[f] = new_Ff
+        self.C = newC
+        self.G = newG
+        self.B = mutate_B(ExchangeMatrix(self.B), self.degrees, f + 1).rows
+
+    def walk(self, word):
+        for k in check_word(word, len(self.r)):
+            self.step(k)
+        return self
+
+    def c_rows(self):
+        return tuple(tuple(row) for row in self.C)
+
+    def g_rows(self):
+        return tuple(tuple(row) for row in self.G)
+
+
+def _f_parts(colB, rk, fvals, table):
+    """The F-part of each term l = 0..rk of a step numerator.
+
+    Each F_j is raised along one chain of multiplications, F_j^(m|b_j|)
+    for m = 1..rk, and the powers meet in j order.
+    """
+    parts = [LaurentPolynomial.one(table)] * (rk + 1)
+    for j, b in enumerate(colB):
+        if not b or fvals[j].is_one():
+            continue
+        power, e = fvals[j], 1
+        for m in range(1, rk + 1):
+            while e < m * abs(b):
+                power = power * fvals[j]
+                e += 1
+            l = m if b > 0 else rk - m
+            parts[l] = power if parts[l].is_one() else parts[l] * power
+    return parts
+
+
+class GeneralizedInvariants(_InvariantWalk):
     """Walk engine for the rank-n invariants with per-direction degrees."""
 
     def __init__(self, B: ExchangeMatrix, r, track_f: bool = True):
         self.n = B.n
         self.r = tuple(r)
-        self.track_f = track_f
         names = [f"y{i + 1}" for i in range(self.n)]
         self.zpos = {}
         for i in range(self.n):
             for l in range(self.r[i] - 1):
                 self.zpos[(i, l + 1)] = len(names)
                 names.append(slot_name("z", i, l, self.n))
-        self.table = VariableTable(names)
-        self.yvar = tuple(range(self.n))
-        self.B0 = B.rows
-        self.B = B.rows
-        self.C = _identity(self.n)
-        self.G = _identity(self.n)
-        self.F = [LaurentPolynomial.one(self.table) for _ in range(self.n)]
+        super().__init__(B, self.r, names, track_f)
         self.reversed = [False] * self.n
-        self.word = ()
 
     def zcoeff(self, i: int, l: int) -> LaurentPolynomial:
         """Coefficient of degree l in the tracked polynomial of direction i."""
@@ -78,198 +196,33 @@ class GeneralizedInvariants:
             return LaurentPolynomial.one(self.table)
         return LaurentPolynomial.variable(self.table, self.table.names[self.zpos[(i, l)]])
 
-    def step_numerator(self, k0: int, fvals=None, table=None,
-                       zcoeff=None) -> LaurentPolynomial:
-        """Exchange numerator of the polynomial step in direction k0.
-
-        With `fvals`/`table`/`zcoeff` overridden this assembles the same
-        expression over formal stand-ins, which is how the stepwise
-        relation checker compares engines without expanding anything big.
-        """
-        n, rk = self.n, self.r[k0]
-        table = table if table is not None else self.table
-        fvals = fvals if fvals is not None else self.F
-        zcoeff = zcoeff if zcoeff is not None else (lambda l: self.zcoeff(k0, l))
-        colC = [self.C[j][k0] for j in range(n)]
-        colB = [self.B[j][k0] for j in range(n)]
-        pows = {}
-        for j in range(n):
-            needed = sorted(
-                {
-                    (rk - l) * pos(-colB[j]) + l * pos(colB[j])
-                    for l in range(rk + 1)
-                } - {0}
-            )
-            cur = LaurentPolynomial.one(table)
-            cur_e = 0
-            store = {}
-            for e in needed:
-                while cur_e < e:
-                    cur = cur * fvals[j]
-                    cur_e += 1
-                store[e] = cur
-            pows[j] = store
-        num = LaurentPolynomial.zero(table)
-        for l in range(rk + 1):
-            term = zcoeff(l)
-            mono = {}
-            for j in range(n):
-                ey = (rk - l) * pos(-colC[j]) + l * pos(colC[j])
-                if ey:
-                    mono[f"y{j + 1}"] = ey
-            if mono:
-                term = term * LaurentPolynomial.monomial(table, mono)
-            for j in range(n):
-                ef = (rk - l) * pos(-colB[j]) + l * pos(colB[j])
-                if ef:
-                    term = term * pows[j][ef]
-            num = num + term
-        return num
-
     def step(self, k: int) -> "GeneralizedInvariants":
         k0 = k - 1
-        n, rk = self.n, self.r[k0]
-        B, C, G = self.B, self.C, self.G
-
-        colC = [C[j][k0] for j in range(n)]
-        colB = [B[j][k0] for j in range(n)]
-
-        new_Fk = None
-        if self.track_f:
-            num = self.step_numerator(k0)
-            new_Fk = num.exact_div(self.F[k0])
-            if new_Fk is None:
-                raise ArithmeticError("polynomial recursion step is not exactly divisible")
-
-        newC = [row[:] for row in C]
-        for i in range(n):
-            for j in range(n):
-                if j == k0:
-                    newC[i][j] = -C[i][k0]
-                else:
-                    newC[i][j] = C[i][j] + rk * (
-                        C[i][k0] * pos(B[k0][j]) + pos(-C[i][k0]) * B[k0][j]
-                    )
-        newG = [row[:] for row in G]
-        for i in range(n):
-            acc = -G[i][k0]
-            for a in range(n):
-                acc += rk * (G[i][a] * pos(-B[a][k0]) - self.B0[i][a] * pos(-C[a][k0]))
-            newG[i][k0] = acc
-
-        if self.track_f:
-            self.F[k0] = new_Fk
-        self.C = newC
-        self.G = newG
-        self.B = mutate_B(ExchangeMatrix(self.B), self.r, k).rows
+        self._step(k0, lambda l: self.zcoeff(k0, l))
         self.reversed[k0] = not self.reversed[k0]
         self.word = self.word + (k,)
         return self
 
-    def walk(self, word) -> "GeneralizedInvariants":
-        for k in check_word(word, self.n):
-            self.step(k)
-        return self
 
-    def c_rows(self):
-        return tuple(tuple(row) for row in self.C)
+class CompositeInvariants(_InvariantWalk):
+    """Walk engine for the pseudo-rank invariants, one block per step.
 
-    def g_rows(self):
-        return tuple(tuple(row) for row in self.G)
-
-
-class CompositeInvariants:
-    """Walk engine for the pseudo-rank invariants, one block per step."""
+    The composite pattern is the ordinary, degree-one pattern on the
+    enlarged matrix `enlarge(B, r)`: a block step is one elementary step
+    per slot of the block, in slot order.
+    """
 
     def __init__(self, B: ExchangeMatrix, r, track_f: bool = True):
         self.nblocks = B.n
         self.r = tuple(r)
-        self.track_f = track_f
         self.pairs = block_pairs(self.r)
         self.offsets = block_offsets(self.r)
         self.size = sum(self.r)
         names = [slot_name("y", i, l, self.nblocks) for (i, l) in self.pairs]
-        self.table = VariableTable(names)
-        big = enlarge(B, self.r)
-        self.B0 = big.rows
-        self.B = big.rows
-        self.C = _identity(self.size)
-        self.G = _identity(self.size)
-        self.F = [LaurentPolynomial.one(self.table) for _ in range(self.size)]
-        self.word = ()
+        super().__init__(enlarge(B, self.r), (1,) * self.size, names, track_f)
 
     def flat(self, i, l):
         return self.offsets[i] + l
-
-    def _f_products(self, colB):
-        """(prod F_j^b_j over b_j > 0, prod F_j^-b_j over b_j < 0) for a B-column."""
-        plus = minus = None
-        for j, b in enumerate(colB):
-            if b > 0:
-                power = self.F[j] ** b
-                plus = power if plus is None else plus * power
-            elif b < 0:
-                power = self.F[j] ** (-b)
-                minus = power if minus is None else minus * power
-        one = LaurentPolynomial.one(self.table)
-        return (one if plus is None else plus), (one if minus is None else minus)
-
-    def step_elementary(self, f: int, block=(), products=None) -> "CompositeInvariants":
-        """One ordinary step in flat direction f (0-based).
-
-        `products` caches the F-products of B-columns that vanish on the
-        flat directions `block`: stepping inside the block changes neither
-        such a column nor the F_j it reads, so the slots of one block step
-        share them.
-        """
-        size = self.size
-        B, C, G = self.B, self.C, self.G
-        colC = [C[j][f] for j in range(size)]
-        colB = [B[j][f] for j in range(size)]
-
-        new_Ff = None
-        if self.track_f:
-            if products is not None and not any(colB[g] for g in block):
-                key = tuple(colB)
-                if key not in products:
-                    products[key] = self._f_products(colB)
-                plus, minus = products[key]
-            else:
-                plus, minus = self._f_products(colB)
-            mono_p, mono_m = {}, {}
-            for j in range(size):
-                if colC[j] > 0:
-                    mono_p[j] = colC[j]
-                elif colC[j] < 0:
-                    mono_m[j] = -colC[j]
-            if mono_p:
-                plus = plus * LaurentPolynomial.monomial(self.table, mono_p)
-            if mono_m:
-                minus = minus * LaurentPolynomial.monomial(self.table, mono_m)
-            new_Ff = (plus + minus).exact_div(self.F[f])
-            if new_Ff is None:
-                raise ArithmeticError("polynomial recursion step is not exactly divisible")
-
-        newC = [row[:] for row in C]
-        for i in range(size):
-            for j in range(size):
-                if j == f:
-                    newC[i][j] = -C[i][f]
-                else:
-                    newC[i][j] = C[i][j] + C[i][f] * pos(B[f][j]) + pos(-C[i][f]) * B[f][j]
-        newG = [row[:] for row in G]
-        for i in range(size):
-            acc = -G[i][f]
-            for a in range(size):
-                acc += G[i][a] * pos(-B[a][f]) - self.B0[i][a] * pos(-C[a][f])
-            newG[i][f] = acc
-
-        if self.track_f:
-            self.F[f] = new_Ff
-        self.C = newC
-        self.G = newG
-        self.B = mutate_B(ExchangeMatrix(self.B), (1,) * size, f + 1).rows
-        return self
 
     def step(self, k: int) -> "CompositeInvariants":
         """One composite step in block direction k (1-based)."""
@@ -279,20 +232,9 @@ class CompositeInvariants:
         # the same off-block column and the product over it is built once
         products = {}
         for f in block:
-            self.step_elementary(f, block, products)
+            self._step(f, products=products, block=block)
         self.word = self.word + (k,)
         return self
-
-    def walk(self, word) -> "CompositeInvariants":
-        for k in check_word(word, self.nblocks):
-            self.step(k)
-        return self
-
-    def c_rows(self):
-        return tuple(tuple(row) for row in self.C)
-
-    def g_rows(self):
-        return tuple(tuple(row) for row in self.G)
 
     def block_core(self) -> ExchangeMatrix:
         return read_block_matrix(ExchangeMatrix(self.B), self.r)
@@ -348,8 +290,8 @@ def separation_reconstruct_generalized(seed0: GeneralizedSeed, word):
     ring_assign = {}
     sf_assign = {}
     for j in range(n):
-        ring_assign[eng.yvar[j]] = hat[j]
-        sf_assign[eng.yvar[j]] = seed0.y[j]
+        ring_assign[j] = hat[j]
+        sf_assign[j] = seed0.y[j]
     for (i, l), idx in eng.zpos.items():
         zc = seed0.Z[i].coeffs[l]
         ring_assign[idx] = zc.as_ratfn(table)

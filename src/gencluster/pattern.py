@@ -10,7 +10,7 @@ fresh seed, so walks can be shared and explored concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -230,7 +230,7 @@ class GeneralizedSeed:
 
     Cluster variables are exact rational functions in the initial cluster,
     held in factored form so that walks cancel spent factors instead of
-    multiplying them out; `x_ratfn` gives the expanded value.
+    multiplying them out.
     """
 
     table: VariableTable
@@ -240,13 +240,6 @@ class GeneralizedSeed:
     y: tuple
     Z: tuple
     B: ExchangeMatrix
-
-    def direction_degree(self, k: int) -> int:
-        return self.r[k - 1]
-
-    def x_ratfn(self, i: int) -> RationalFunction:
-        """Expanded cluster variable in direction i (1-based)."""
-        return self.x[i - 1].expand()
 
 
 def validate_seed(seed: GeneralizedSeed) -> None:
@@ -272,21 +265,28 @@ def validate_seed(seed: GeneralizedSeed) -> None:
 
 def mutate_seed(seed: GeneralizedSeed, k: int) -> GeneralizedSeed:
     """Seed mutation in direction k (1-based)."""
+    moved, spec = _mutate_coefficients(seed, k)
+    k0 = k - 1
+    new_x = list(seed.x)
+    new_x[k0] = _mutated_variable(seed, k0, seed.r[k0], seed.Z[k0], spec)
+    return replace(moved, x=tuple(new_x))
+
+
+def _mutate_coefficients(seed: GeneralizedSeed, k: int):
+    """The coefficient side of the mutation in direction k (1-based).
+
+    Returns the seed with its coefficients, exchange polynomials and
+    matrix mutated and its cluster variables kept, together with the
+    specialization of Z_k at y_k, which the new cluster variable divides by.
+    """
     n = seed.n
     if not 1 <= k <= n:
         raise IndexError("direction out of range")
     k0 = k - 1
     rk = seed.r[k0]
-    table = seed.table
     B = seed.B.rows
     Zk = seed.Z[k0]
-
     spec = Zk.specialize(seed.y[k0])
-    new_xk = _mutated_variable(seed, k0, rk, Zk, spec)
-
-    new_x = list(seed.x)
-    new_x[k0] = new_xk
-
     new_y = []
     for i in range(n):
         if i == k0:
@@ -302,19 +302,17 @@ def mutate_seed(seed: GeneralizedSeed, k: int) -> GeneralizedSeed:
         elif bki < 0:
             yi = sf_mul(yi, sf_pow(spec, -bki))
         new_y.append(yi)
-
     new_Z = list(seed.Z)
     new_Z[k0] = Zk.reciprocal()
-
     return GeneralizedSeed(
-        table=table,
+        table=seed.table,
         n=n,
         r=seed.r,
-        x=tuple(new_x),
+        x=seed.x,
         y=tuple(new_y),
         Z=tuple(new_Z),
         B=mutate_B(seed.B, seed.r, k),
-    )
+    ), spec
 
 
 def _mutated_variable(seed: GeneralizedSeed, k0: int, rk: int,
@@ -392,38 +390,7 @@ def mutate_y_seed(seed: GeneralizedSeed, k: int) -> GeneralizedSeed:
     The coefficient dynamics are self-contained, so walks that only need
     the y-side can skip the cluster-variable arithmetic entirely.
     """
-    n = seed.n
-    if not 1 <= k <= n:
-        raise IndexError("direction out of range")
-    k0 = k - 1
-    rk = seed.r[k0]
-    B = seed.B.rows
-    Zk = seed.Z[k0]
-    spec = Zk.specialize(seed.y[k0])
-    new_y = []
-    for i in range(n):
-        if i == k0:
-            new_y.append(sf_inv(seed.y[k0]))
-            continue
-        bki = B[k0][i]
-        yi = seed.y[i]
-        if bki > 0:
-            factor = sf_mul(sf_pow(seed.y[k0], rk * bki), sf_pow(spec, -bki))
-            yi = sf_mul(yi, factor)
-        elif bki < 0:
-            yi = sf_mul(yi, sf_pow(spec, -bki))
-        new_y.append(yi)
-    new_Z = list(seed.Z)
-    new_Z[k0] = Zk.reciprocal()
-    return GeneralizedSeed(
-        table=seed.table,
-        n=n,
-        r=seed.r,
-        x=seed.x,
-        y=tuple(new_y),
-        Z=tuple(new_Z),
-        B=mutate_B(seed.B, seed.r, k),
-    )
+    return _mutate_coefficients(seed, k)[0]
 
 
 def walk_y(seed: GeneralizedSeed, word) -> GeneralizedSeed:

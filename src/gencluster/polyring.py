@@ -304,17 +304,6 @@ class LaurentPolynomial:
     def is_monomial(self):
         return len(self._d) == 1
 
-    def is_constant(self):
-        d = self._d
-        return not d or (len(d) == 1 and self._lay.zero in d)
-
-    def constant_value(self) -> int:
-        if self.is_zero():
-            return 0
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self._d.values()))
-
     def support_vars(self):
         """Indices of variables appearing with a nonzero exponent."""
         lay = self._lay
@@ -1252,11 +1241,6 @@ class FactoredFraction:
 
     def __truediv__(self, other):
         return self * other.inverse()
-
-    def positive_part(self) -> "FactoredFraction":
-        return FactoredFraction(
-            self.table, {k: v for k, v in self.factors.items() if v[1] > 0}
-        )
 
     def negative_part(self) -> "FactoredFraction":
         """Denominator factors, with positive exponents."""

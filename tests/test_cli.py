@@ -94,6 +94,21 @@ def test_verify_bound_exceeded(capsys):
     assert "bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--seed", "case2", "--depth", "0"],
+    ["--seed", "case2", "--depth", "-2"],
+    ["--random", "--trials", "0", "--rng-seed", "1"],
+    ["--random", "--trials", "-3", "--rng-seed", "1"],
+    ["--random", "--depth", "0", "--rng-seed", "1"],
+])
+def test_verify_rejects_empty_ranges(capsys, args):
+    # no words or no trials would check nothing and pass vacuously
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "bounds" in captured.err
+
+
 @pytest.mark.parametrize("error", [
     ArithmeticError("polynomial recursion step is not exactly divisible"),
     TermLimitError("expansion exceeds 10 terms"),

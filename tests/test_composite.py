@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from gencluster.composite import (
     build_realization,
     composite_mutate,
     composite_mutate_closed,
+    composite_mutate_y,
     composite_walk,
     composite_walk_y,
     enlarge,
@@ -347,3 +349,12 @@ def test_diagonal_block_guard():
     bad = replace(rz.c_seed, ordinary=replace(broken, B=ExchangeMatrix(tuple(tuple(r) for r in rows))))
     with pytest.raises(ValueError, match="not a composite vertex"):
         composite_mutate(bad, 1)
+
+
+def test_coefficient_block_step_rejects_a_nonzero_diagonal_block():
+    seed = case_realization(1).c_seed
+    rows = [list(row) for row in seed.ordinary.B.rows]
+    rows[0][1], rows[1][0] = 1, -1  # inside block 1, which has two slots
+    ordinary = replace(seed.ordinary, B=ExchangeMatrix(tuple(map(tuple, rows))))
+    with pytest.raises(ValueError, match="diagonal block is nonzero"):
+        composite_mutate_y(replace(seed, ordinary=ordinary), 1)

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from gencluster.cases import case_realization
-from gencluster.composite import block_offsets, block_pairs, composite_walk, sigma_of_word
+from gencluster.composite import (
+    block_offsets,
+    block_pairs,
+    composite_walk,
+    enlarge,
+    sigma_of_word,
+)
 from gencluster.invariants import (
     CompositeInvariants,
     GeneralizedInvariants,
@@ -16,7 +22,7 @@ from gencluster.invariants import (
 from gencluster.pattern import ExchangeMatrix, pos, reduced_words, walk
 from gencluster.polyring import LaurentPolynomial
 from gencluster.semifield import sf_eq
-from gencluster.verify import random_instance
+from gencluster.verify import random_instance, random_word
 
 
 B1 = ExchangeMatrix.from_rows([[0, -1], [1, 0]], (1, 1))
@@ -262,3 +268,54 @@ def test_random_instances_shifted_entries_are_block_constant():
                     for m in range(r[j])
                 }
                 assert len(tilde_c) == 1 and len(tilde_g) == 1
+
+
+def _slot_word(word, r):
+    """The flat pseudo-rank word that steps each block of `word` slot by slot."""
+    offs = block_offsets(r)
+    return tuple(offs[k - 1] + l + 1 for k in word for l in range(r[k - 1]))
+
+
+def _assert_composite_is_degree_one_walk(B, r, word, track_f):
+    ce = CompositeInvariants(B, r, track_f=track_f).walk(word)
+    ordinary = GeneralizedInvariants(enlarge(B, r), (1,) * sum(r), track_f=track_f)
+    ordinary.walk(_slot_word(word, r))
+    assert ce.C == ordinary.C
+    assert ce.G == ordinary.G
+    assert ce.B == ordinary.B
+    # the two tables name the same pseudo-rank variables differently
+    for fc, fo in zip(ce.F, ordinary.F):
+        assert dict(fc.terms.items()) == dict(fo.terms.items())
+
+
+@pytest.mark.parametrize("B, r", [(B1, R1), (B2, R2)], ids=["case1", "case2"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_composite_engine_is_the_degree_one_engine_on_the_enlarged_matrix(B, r, depth):
+    for word in reduced_words(B.n, depth):
+        if len(word) == depth:
+            _assert_composite_is_degree_one_walk(B, r, word, track_f=depth <= 2)
+
+
+def test_composite_engine_is_degree_one_on_random_instances():
+    rng = random.Random(17)
+    for _ in range(20):
+        B, r = random_instance(rng)
+        depth = rng.randint(1, 3)
+        word = random_word(rng, B.n, depth, exact=True)
+        _assert_composite_is_degree_one_walk(B, r, word, track_f=depth <= 2)
+
+
+def test_block_step_builds_the_off_block_product_once(monkeypatch):
+    eng = CompositeInvariants(B2, R2).walk((1,))
+    products = []
+    mul = LaurentPolynomial.__mul__
+
+    def counting_mul(a, b):
+        if len(a) > 1 and len(b) > 1:
+            products.append((len(a), len(b)))
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counting_mul)
+    eng.step(2)
+    # all three slots of block 2 read F_11 * F_12 through the same column
+    assert products == [(2, 2)]
