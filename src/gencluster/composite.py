@@ -557,6 +557,8 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
             SymbolBlock(s_idx=s_idx[i], e_idx=e_idx[i], targets=tuple(sf_targets))
         )
 
+    # the class e-forms do not depend on the targets: one cache serves both
+    cache = {}
     return Realization(
         table=table,
         layout=layout,
@@ -564,8 +566,8 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
         ext_kind=ext_kind,
         g_seed=g_seed,
         c_seed=c_seed,
-        elem_ring=ElementarySymbols(table=table, blocks=tuple(ring_blocks)),
-        elem_sf=ElementarySymbols(table=table, blocks=tuple(sf_blocks)),
+        elem_ring=ElementarySymbols(table, tuple(ring_blocks), cache),
+        elem_sf=ElementarySymbols(table, tuple(sf_blocks), cache),
     )
 
 

@@ -539,22 +539,20 @@ class LaurentPolynomial:
 
         `assign` maps variable indices to RationalFunction values on the
         same table. Falls back to a fast exponent remap when every value is
-        a plain monomial with unit coefficients.
+        a plain monomial with unit coefficients. Otherwise the terms that
+        share their exponents at the assigned variables are substituted
+        together, one product of powers per group.
         """
         if all(_as_unit_monomial(v) is not None for v in assign.values()):
             mapping = {i: _as_unit_monomial(v) for i, v in assign.items()}
             return RationalFunction.from_poly(self.substitute_monomials(mapping))
+        idx = sorted(assign)
         total = RationalFunction.zero(self.table)
-        for powers, c in self.sparse_terms():
-            rest = {}
-            value = RationalFunction.constant(self.table, c)
-            for i, e in powers:
-                if i in assign:
+        for exps, rest in split_terms(self, idx).items():
+            value = RationalFunction.from_poly(rest)
+            for i, e in zip(idx, exps):
+                if e:
                     value = value * assign[i] ** e
-                else:
-                    rest[i] = e
-            if rest:
-                value = value * RationalFunction.monomial(self.table, rest)
             total = total + value
         return total
 
@@ -1403,50 +1401,92 @@ def elementary_symmetric(table, block, degree: int) -> LaurentPolynomial:
 
 
 def _reduce_one_block(p: LaurentPolynomial, s_idx, e_idx) -> LaurentPolynomial:
+    """e-form of a symmetric polynomial in one block's variables alone.
+
+    Cancels the lexicographic leader c*s^b with c times the product of the
+    elementary symmetric polynomials e_l(s)^(b_l - b_(l+1)) until nothing
+    is left. Only orbit polynomials m_lambda reach it (see `_class_e_form`),
+    so every coefficient is an integer.
+    """
     table = p.table
-    if not block_symmetric(p, s_idx):
-        raise NotBlockSymmetricError("not block-symmetric")
-    # for a symmetric input the lexicographic leader of a permutation-closed
-    # set of block vectors is the same partition in any variable order, so
-    # the block is read in table order: a masked key compares like the
-    # block's exponent tuple
+    # the lexicographic leader of a symmetric polynomial is the same
+    # partition in any variable order, so the block is read in table
+    # order: a key compares like the block's exponent tuple
     s_idx = sorted(s_idx)
+    elementary = [elementary_symmetric(table, s_idx, d + 1) for d in range(len(s_idx))]
     work = _TermSum(table)
     work.add(p)
     done = _TermSum(table)
-    expanded_cache = {}
     while work.d:
-        lay = work.lay
-        sel = lay.field_mask(s_idx)
-        keep = ~sel
-        base_key = lay.zero & sel
-        best = max([k & sel for k in work.d])
-        if best == base_key:
-            done.add(work.poly())
-            break
-        bv = [lay.exponent(best, i) for i in s_idx]
-        if any(bv[a] < bv[a + 1] for a in range(len(bv) - 1)):
-            raise NotBlockSymmetricError("not block-symmetric")
-        coeff = _poly(
-            table, lay,
-            {(k & keep) | base_key: c for k, c in work.d.items() if k & sel == best},
-        )
-        mults = [bv[a] - bv[a + 1] for a in range(len(bv) - 1)] + [bv[-1]]
-        e_mono = [0] * len(table)
-        expansion = None
-        for deg0, m in enumerate(mults):
-            if not m:
-                continue
-            e_mono[e_idx[deg0]] += m
-            base = expanded_cache.get(deg0)
-            if base is None:
-                base = elementary_symmetric(table, s_idx, deg0 + 1)
-                expanded_cache[deg0] = base
-            power = base ** m
-            expansion = power if expansion is None else expansion * power
-        done.add(coeff.shift(e_mono))
-        work.sub(coeff * expansion)
+        lead = max(work.d)
+        c = work.d[lead]
+        bv = [work.lay.exponent(lead, i) for i in s_idx] + [0]
+        powers = {}
+        expansion = LaurentPolynomial.constant(table, c)
+        for deg0, base in enumerate(elementary):
+            m = bv[deg0] - bv[deg0 + 1]
+            if m:
+                powers[e_idx[deg0]] = m
+                expansion = expansion * base ** m
+        done.add(LaurentPolynomial.monomial(table, powers, c))
+        work.sub(expansion)
     return done.poly()
+
+
+def _class_e_form(table, s_idx, e_idx, lam: tuple, cache: dict) -> LaurentPolynomial:
+    """e-form of m_lambda, the sum of the orbit of s^lambda in one block.
+
+    It does not depend on the targets, so it is kept in `cache` under
+    (s_idx, e_idx, lambda) and serves every symbol set sharing that cache.
+    """
+    key = (tuple(s_idx), tuple(e_idx), lam)
+    form = cache.get(key)
+    if form is None:
+        orbit = {}
+        for perm in set(itertools.permutations(lam)):
+            exps = [0] * len(table)
+            for idx, e in zip(s_idx, perm):
+                exps[idx] = e
+            orbit[tuple(exps)] = 1
+        form = _reduce_one_block(LaurentPolynomial(table, orbit), s_idx, e_idx)
+        cache[key] = form
+    return form
+
+
+def _e_form(p: LaurentPolynomial, blocks, cache: dict) -> LaurentPolynomial:
+    """Rewrite a block-symmetric polynomial in the e-symbols, class by class.
+
+    The terms of p split into orbits under the block permutations. Each
+    orbit is its block-free rest times one monomial-symmetric m_lambda per
+    block, and its representative is the term whose exponents do not
+    increase along any block. So the e-form is the sum, over
+    representatives, of the rest times the product of the blocks' cached
+    class e-forms (`_class_e_form`; lambda = 0 contributes 1).
+    """
+    if not p:
+        return p
+    content = p.monomial_content()
+    support = p.support_vars()
+    for s_idx, e_idx in blocks:
+        if any(content[i] < 0 for i in s_idx):
+            raise ValueError("not polynomial in the splitting variables")
+        if support.intersection(e_idx):
+            raise ValueError("input already mentions an elementary symbol")
+        if not block_symmetric(p, s_idx):
+            raise NotBlockSymmetricError("not block-symmetric")
+    total = _TermSum(p.table)
+    for exps, rest in split_terms(p, [i for s_idx, _ in blocks for i in s_idx]).items():
+        form = None
+        for s_idx, e_idx in blocks:
+            lam, exps = exps[:len(s_idx)], exps[len(s_idx):]
+            if any(a < b for a, b in zip(lam, lam[1:])):
+                break
+            if any(lam):
+                f = _class_e_form(p.table, s_idx, e_idx, lam, cache)
+                form = f if form is None else form * f
+        else:
+            total.add(rest if form is None else rest * form)
+    return total.poly()
 
 
 def elementary_reduce(p: LaurentPolynomial, blocks) -> LaurentPolynomial:
@@ -1459,18 +1499,7 @@ def elementary_reduce(p: LaurentPolynomial, blocks) -> LaurentPolynomial:
     ValueError when p is not polynomial in the block variables or already
     mentions an e-symbol.
     """
-    if p:
-        content = p.monomial_content()
-        support = p.support_vars()
-        for s_idx, e_idx in blocks:
-            if any(content[i] < 0 for i in s_idx):
-                raise ValueError("not polynomial in the splitting variables")
-            if support.intersection(e_idx):
-                raise ValueError("input already mentions an elementary symbol")
-    out = p
-    for s_idx, e_idx in blocks:
-        out = _reduce_one_block(out, s_idx, e_idx)
-    return out
+    return _e_form(p, blocks, {})
 
 
 @dataclass(frozen=True)
@@ -1488,17 +1517,16 @@ class SymbolBlock:
 
 @dataclass(frozen=True)
 class ElementarySymbols:
-    """Substitution data for eliminating all splitting variables."""
+    """Substitution data for eliminating all splitting variables.
+
+    `cache` holds the class e-forms (`_class_e_form`). They do not depend on
+    the targets, so symbol sets on one table with the same blocks may share
+    one cache.
+    """
 
     table: VariableTable
     blocks: tuple
     cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def all_s_indices(self):
-        out = []
-        for b in self.blocks:
-            out.extend(b.s_idx)
-        return out
 
     def reduce_blocks(self):
         return [(b.s_idx, b.e_idx) for b in self.blocks]
@@ -1535,101 +1563,18 @@ def symmetric_e_form(p: LaurentPolynomial, symbols: ElementarySymbols) -> Lauren
     """Content-cleared rewriting of p in the elementary symbols."""
     p = _split_s_content(p, symbols)
     try:
-        return elementary_reduce(p, symbols.reduce_blocks())
+        return _e_form(p, symbols.reduce_blocks(), symbols.cache)
     except NotBlockSymmetricError:
         raise PsiDomainError("not in domain of psi_hat") from None
 
 
-def _monomial_class_value(symbols: ElementarySymbols, b_index: int, lam: tuple):
-    """Image of one monomial-symmetric class of a single block."""
-    cached = symbols.cache.get((b_index, lam))
-    if cached is not None:
-        return cached
-    table = symbols.table
-    block = symbols.blocks[b_index]
-    terms = {}
-    for perm in set(itertools.permutations(lam)):
-        exps = [0] * len(table)
-        for idx, e in zip(block.s_idx, perm):
-            exps[idx] = e
-        terms[tuple(exps)] = 1
-    orbit_poly = LaurentPolynomial(table, terms)
-    reduced = _reduce_one_block(orbit_poly, block.s_idx, block.e_idx)
-    value = reduced.evaluate(symbols.target_assignment())
-    symbols.cache[(b_index, lam)] = value
-    return value
-
-
-def _symmetric_value(p: LaurentPolynomial, symbols: ElementarySymbols) -> RationalFunction:
-    """Evaluation-only elimination through monomial-symmetric classes.
-
-    Splits the polynomial into orbits of monomials under the block
-    transpositions; each orbit is one monomial-symmetric pattern per block
-    times a block-free rest, whose image is computed once per pattern and
-    cached on the substitution data. This never materializes the rewriting
-    of the whole polynomial, so it scales to inputs far beyond what the
-    term-by-term elimination can handle.
-    """
-    table = p.table
-    p = _split_s_content(p, symbols)
-    for b in symbols.blocks:
-        if not block_symmetric(p, b.s_idx):
-            raise PsiDomainError("not in domain of psi_hat")
-    lay = _sync(p)
-    mask, bias = lay.mask, lay.bias
-    block_shifts = [tuple(lay.shifts[i] for i in b.s_idx) for b in symbols.blocks]
-    sel = lay.field_mask(symbols.all_s_indices())
-    keep = ~sel
-    base_key = lay.zero & sel
-    # one representative per orbit: block fields non-increasing in s order
-    classes = {}
-    for k, c in p._d.items():
-        lams = []
-        for shifts in block_shifts:
-            vals = tuple([(k >> s) & mask for s in shifts])
-            if list(vals) != sorted(vals, reverse=True):
-                break
-            lams.append(vals)
-        else:
-            classes[(tuple(lams), (k & keep) | base_key)] = c
-    total = _TermSum(table)
-    rf_total = None
-    for (lams, rest), c in classes.items():
-        value = None
-        plain = True
-        for b_index, lam in enumerate(lams):
-            lam = tuple(v - bias for v in lam)
-            if not any(lam):
-                continue
-            v = _monomial_class_value(symbols, b_index, lam)
-            plain = plain and v.den.is_one()
-            value = v if value is None else value * v
-        base = _poly(table, lay, {rest: c})
-        if value is None:
-            total.add(base)
-        elif plain and value.den.is_one():
-            total.add(base * value.num)
-        else:
-            part = RationalFunction.from_poly(base) * value
-            rf_total = part if rf_total is None else rf_total + part
-    poly_total = total.poly()
-    if rf_total is None:
-        return RationalFunction.from_poly(poly_total)
-    return rf_total + RationalFunction.from_poly(poly_total)
-
-
-_CERT_LIMIT = 2000
-
-
 def _part_image(p: LaurentPolynomial, symbols: ElementarySymbols,
                 require_nonneg: bool) -> RationalFunction:
-    """Image of one fraction part, certifying cone membership when feasible."""
-    if require_nonneg and len(p) <= _CERT_LIMIT:
-        reduced = symmetric_e_form(p, symbols)
-        if any(c < 0 for c in reduced.coefficients()):
-            raise PsiConeError("not in domain of psi_hat")
-        return reduced.evaluate(symbols.target_assignment())
-    return _symmetric_value(p, symbols)
+    """Image of one fraction part: its e-form, certified if asked, at the targets."""
+    form = symmetric_e_form(p, symbols)
+    if require_nonneg and any(c < 0 for c in form.coefficients()):
+        raise PsiConeError("not in domain of psi_hat")
+    return form.evaluate(symbols.target_assignment())
 
 
 def psi_hat_factored(ff: "FactoredFraction", symbols: ElementarySymbols,
@@ -1638,8 +1583,12 @@ def psi_hat_factored(ff: "FactoredFraction", symbols: ElementarySymbols,
 
     The map is multiplicative, so it suffices to apply it to the product of
     each orbit of factors under the block transpositions; pattern-generated
-    fractions always carry complete orbits with a uniform exponent. Any
-    factor set that is not orbit-complete falls back to the expanded route.
+    fractions always carry complete orbits with a uniform exponent. With
+    `require_nonneg` every orbit's e-form is certified, whatever its size;
+    the cone is closed under products, so that certifies the fraction. An
+    orbit that is not complete, or whose e-form leaves the cone, sends the
+    whole fraction down the expanded route `psi_hat(ff.expand(), ...)`,
+    which certifies its numerator and denominator or raises PsiConeError.
     The result stays factored, one factor per orbit image.
     """
     table = ff.table
@@ -1670,17 +1619,15 @@ def psi_hat_factored(ff: "FactoredFraction", symbols: ElementarySymbols,
         if any(
             k not in remaining or remaining[k][1] != exp for k in orbit
         ):
-            return FactoredFraction.from_ratfn(
-                psi_hat(ff.expand(), symbols, require_nonneg)
-            )
+            break
         product = LaurentPolynomial.one(table)
         for k in orbit:
             product = product * remaining.pop(k)[0]
         try:
             value = _part_image(product, symbols, require_nonneg)
         except PsiConeError:
-            # an orbit can look signed even when the full product is not
-            value = _symmetric_value(product, symbols)
+            # an orbit can leave the cone while the whole fraction is in it
+            break
         if value.is_zero():
             raise PsiKernelError(
                 "denominator in kernel of psi_hat"
@@ -1688,7 +1635,9 @@ def psi_hat_factored(ff: "FactoredFraction", symbols: ElementarySymbols,
                 else "factor image vanishes under psi_hat"
             )
         out = out * FactoredFraction.from_ratfn(value) ** exp
-    return out
+    else:
+        return out
+    return FactoredFraction.from_ratfn(psi_hat(ff.expand(), symbols, require_nonneg))
 
 
 def psi_hat(f: RationalFunction, symbols: ElementarySymbols,
@@ -1696,11 +1645,11 @@ def psi_hat(f: RationalFunction, symbols: ElementarySymbols,
     """Eliminate splitting variables through the elementary-symbol targets.
 
     Both parts of the fraction are cleared of s-monomial content, rewritten
-    in the elementary symbols, and evaluated at the block targets (top
-    symbol to 1). `require_nonneg` additionally insists that both rewritten
-    parts have nonnegative integer coefficients, the domain condition of
-    the semifield-level map (certified up to a size cutoff; larger parts
-    are evaluated through the class decomposition instead).
+    in the elementary symbols class by class, and evaluated at the block
+    targets (top symbol to 1). `require_nonneg` additionally insists that
+    both rewritten parts have nonnegative integer coefficients, the domain
+    condition of the semifield-level map; it is checked at every size and
+    raises PsiConeError when it fails.
     """
     num = _part_image(f.num, symbols, require_nonneg)
     den = _part_image(f.den, symbols, require_nonneg)

@@ -24,7 +24,6 @@ from .polyring import (
     VariableTable,
     ff_add,
     ff_eq,
-    psi_hat,
     psi_hat_factored,
 )
 
@@ -466,62 +465,39 @@ def psi(element: SemifieldElement, symbols: ElementarySymbols,
         base_kind: SemifieldKind) -> SemifieldElement:
     """Semifield-level elimination of the splitting variables.
 
-    The element must be universal over the extended generator set; the
-    payload is rewritten through the elementary symbols (with the
-    nonnegativity domain condition) and the result is projected back into
-    the base semifield.
+    The element must be universal over the extended generator set. Its
+    payload, as a factored fraction, goes through `psi_hat_factored` with
+    the nonnegativity domain condition certified at every size (or
+    PsiConeError), and the image is projected back into the base
+    semifield.
     """
     if element.kind.kind != UNIVERSAL:
         raise SemifieldMismatchError("semifield mismatch")
-    if isinstance(element.payload, FactoredFraction):
-        image = psi_hat_factored(element.payload, symbols, require_nonneg=True)
-        if base_kind.kind == UNIVERSAL:
-            return SemifieldElement(base_kind, image)
-        if base_kind.kind == TROPICAL:
-            return _tropicalize_factored(image, base_kind)
-        for p, _ in image.factors.values():
-            if p.support_vars():
-                raise PsiDomainError("not in domain of psi_hat")
-        return SemifieldElement.one(base_kind)
-    image = psi_hat(element.payload, symbols, require_nonneg=True)
+    image = psi_hat_factored(_as_factored(element.payload), symbols, require_nonneg=True)
     if base_kind.kind == UNIVERSAL:
-        return SemifieldElement.universal(base_kind, image)
+        return SemifieldElement(base_kind, image)
     if base_kind.kind == TROPICAL:
-        return _tropicalize(image, base_kind)
-    support = image.num.support_vars() | image.den.support_vars()
-    if support:
-        raise PsiDomainError("not in domain of psi_hat")
+        return _tropicalize_factored(image, base_kind)
+    for p, _ in image.factors.values():
+        if p.support_vars():
+            raise PsiDomainError("not in domain of psi_hat")
     return SemifieldElement.one(base_kind)
 
 
 def _tropicalize_factored(ff: FactoredFraction, kind: SemifieldKind) -> SemifieldElement:
-    """Factor-wise tropical projection: min-vectors scale with exponents."""
+    """Factor-wise tropical projection: min-vectors scale with exponents.
+
+    Every factor must be subtraction-free.
+    """
     table = ff.table
     gen_pos = {table.index(g): i for i, g in enumerate(kind.generators)}
     vec = [0] * len(kind.generators)
     for p, e in ff.factors.values():
-        _add_tropical_content(vec, p, e, gen_pos)
-    return SemifieldElement.tropical(kind, vec)
-
-
-def _add_tropical_content(vec, p: LaurentPolynomial, e: int, gen_pos) -> None:
-    """Add e times p's minimum exponent vector, over the generators, into vec."""
-    if not p:
-        return
-    if p.support_vars() - gen_pos.keys():
-        raise ValueError("cannot tropicalize a non-generator variable")
-    content = p.monomial_content()
-    for i, g in gen_pos.items():
-        vec[g] += e * content[i]
-
-
-def _tropicalize(f: RationalFunction, kind: SemifieldKind) -> SemifieldElement:
-    """Project a subtraction-free rational function onto the tropical semifield."""
-    table = f.table
-    gen_pos = {table.index(g): i for i, g in enumerate(kind.generators)}
-    vec = [0] * len(kind.generators)
-    for part, sign in ((f.num, 1), (f.den, -1)):
-        if any(c < 0 for c in part.coefficients()):
+        if any(c < 0 for c in p.coefficients()):
             raise ValueError("cannot tropicalize a signed polynomial")
-        _add_tropical_content(vec, part, sign, gen_pos)
+        if p.support_vars() - gen_pos.keys():
+            raise ValueError("cannot tropicalize a non-generator variable")
+        content = p.monomial_content()
+        for i, g in gen_pos.items():
+            vec[g] += e * content[i]
     return SemifieldElement.tropical(kind, vec)

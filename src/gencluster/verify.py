@@ -514,9 +514,10 @@ def relation_suite(B: ExchangeMatrix, r, depth: int = 4,
                    endpoint_limit: int = 2_000_000):
     """All invariant-relation checks on every reduced word up to a depth.
 
-    Words sharing a prefix share one engine walk per chain, so the deep
-    vertices are computed once; the per-word reports are identical to what
-    the standalone checkers produce.
+    Each prefix is checked once. Only `f-symmetry` reads the chain's one
+    composite engine walk; `check_cg_relations` and `check_f_relation`
+    walk each prefix from the start. The per-word reports are identical to
+    what the standalone checkers produce.
     """
     n = B.n
     reports = []

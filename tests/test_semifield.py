@@ -4,7 +4,9 @@ import pytest
 
 from gencluster.polyring import (
     ElementarySymbols,
+    FactoredFraction,
     LaurentPolynomial,
+    PsiConeError,
     PsiDomainError,
     RationalFunction,
     SymbolBlock,
@@ -288,6 +290,42 @@ def test_psi_rejects_asymmetric():
     table, base, ext, symbols = _psi_setup()
     with pytest.raises(PsiDomainError):
         psi(SemifieldElement.generator(ext, "s11"), symbols, base)
+
+
+def test_psi_rejects_a_signed_e_form_in_factored_form():
+    # s11^2 + s12^2 = e11^2 - 2*e12 leaves the cone; a factored payload
+    # must be certified like an expanded one, not mapped to -2 + z^2
+    table, base, ext, symbols = _psi_setup()
+    s11 = LaurentPolynomial.variable(table, "s11")
+    s12 = LaurentPolynomial.variable(table, "s12")
+    element = SemifieldElement(ext, FactoredFraction.from_poly(s11 ** 2 + s12 ** 2))
+    with pytest.raises(PsiConeError):
+        psi(element, symbols, base)
+
+
+def test_psi_certifies_large_parts():
+    # 4,032 terms: certification does not stop at a size cutoff
+    table, base, ext, symbols = _psi_setup()
+    s11 = LaurentPolynomial.variable(table, "s11")
+    s12 = LaurentPolynomial.variable(table, "s12")
+    y = LaurentPolynomial.variable(table, "y")
+    z = LaurentPolynomial.variable(table, "z")
+    part = (s11 ** 2 + s12 ** 2) * (LaurentPolynomial.one(table) + y + z) ** 62
+    assert len(part) == 4032
+    block = symbols.blocks[0]
+    symbols = ElementarySymbols(
+        table=table,
+        blocks=(
+            SymbolBlock(
+                s_idx=block.s_idx,
+                e_idx=block.e_idx,
+                targets=(RationalFunction.constant(table, 2), RationalFunction.one(table)),
+            ),
+        ),
+    )
+    element = SemifieldElement.universal(ext, RationalFunction.from_poly(part))
+    with pytest.raises(PsiConeError):
+        psi(element, symbols, base)
 
 
 def test_psi_reciprocal_specialization():

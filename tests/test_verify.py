@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gencluster import polyring
 from gencluster.cases import case_realization
 from gencluster.pattern import ExchangeMatrix, reduced_words
 from gencluster.verify import (
@@ -64,6 +65,24 @@ def test_x_realization_shallow(case):
         report = check_x_realization(rz, word)
         assert report.passed and report.tested == rz.n
 
+
+
+def test_realization_checks_share_one_class_cache(monkeypatch):
+    # y- and x-realization eliminate through elem_sf and elem_ring; every
+    # m_lambda is rewritten once for both, and nothing else is reduced
+    rz = case_realization(2)
+    calls = []
+    reduce_one_block = polyring._reduce_one_block
+
+    def counted(*args):
+        calls.append(args)
+        return reduce_one_block(*args)
+
+    monkeypatch.setattr(polyring, "_reduce_one_block", counted)
+    assert check_y_realization(rz, (1, 2)).passed
+    assert check_x_realization(rz, (1, 2)).passed
+    assert rz.elem_ring.cache is rz.elem_sf.cache
+    assert len(calls) == len(rz.elem_ring.cache) > 0
 
 def test_cg_relations_cases():
     for word in [(), (1, 2), (1, 2, 1)]:
