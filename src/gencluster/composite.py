@@ -557,8 +557,8 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
             SymbolBlock(s_idx=s_idx[i], e_idx=e_idx[i], targets=tuple(sf_targets))
         )
 
-    # the class e-forms do not depend on the targets: one cache serves both
-    cache = {}
+    # no e-form depends on the targets: one set of caches serves both
+    caches = dict(cache={}, orbits={}, expansions={})
     return Realization(
         table=table,
         layout=layout,
@@ -566,8 +566,8 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
         ext_kind=ext_kind,
         g_seed=g_seed,
         c_seed=c_seed,
-        elem_ring=ElementarySymbols(table, tuple(ring_blocks), cache),
-        elem_sf=ElementarySymbols(table, tuple(sf_blocks), cache),
+        elem_ring=ElementarySymbols(table, tuple(ring_blocks), **caches),
+        elem_sf=ElementarySymbols(table, tuple(sf_blocks), **caches),
     )
 
 

@@ -1400,20 +1400,37 @@ def elementary_symmetric(table, block, degree: int) -> LaurentPolynomial:
     return _poly(table, lay, out)
 
 
-def _reduce_one_block(p: LaurentPolynomial, s_idx, e_idx) -> LaurentPolynomial:
+def _e_monomial(table, s_idx: tuple, ms: tuple, expansions: dict) -> LaurentPolynomial:
+    """Expanded e_1(s)^m_1 ... e_r(s)^m_r over one block, s_idx sorted.
+
+    Kept in `expansions` under (s_idx, ms), and built as the cached product
+    of the lower degrees times the power of the highest one.
+    """
+    out = expansions.get((s_idx, ms))
+    if out is None:
+        top = max(l for l, m in enumerate(ms) if m)
+        rest = ms[:top] + (0,) * (len(ms) - top)
+        out = elementary_symmetric(table, s_idx, top + 1) ** ms[top]
+        if any(rest):
+            out = _e_monomial(table, s_idx, rest, expansions) * out
+        expansions[(s_idx, ms)] = out
+    return out
+
+
+def _reduce_one_block(p: LaurentPolynomial, s_idx, e_idx, expansions: dict) -> LaurentPolynomial:
     """e-form of a symmetric polynomial in one block's variables alone.
 
     Cancels the lexicographic leader c*s^b with c times the product of the
     elementary symmetric polynomials e_l(s)^(b_l - b_(l+1)) until nothing
-    is left. Only orbit polynomials m_lambda reach it (see `_class_e_form`),
-    so every coefficient is an integer.
+    is left; those products come from `expansions` (`_e_monomial`). Only
+    orbit polynomials m_lambda reach it (see `_class_e_form`), so every
+    coefficient is an integer.
     """
     table = p.table
     # the lexicographic leader of a symmetric polynomial is the same
     # partition in any variable order, so the block is read in table
     # order: a key compares like the block's exponent tuple
-    s_idx = sorted(s_idx)
-    elementary = [elementary_symmetric(table, s_idx, d + 1) for d in range(len(s_idx))]
+    s_idx = tuple(sorted(s_idx))
     work = _TermSum(table)
     work.add(p)
     done = _TermSum(table)
@@ -1421,19 +1438,16 @@ def _reduce_one_block(p: LaurentPolynomial, s_idx, e_idx) -> LaurentPolynomial:
         lead = max(work.d)
         c = work.d[lead]
         bv = [work.lay.exponent(lead, i) for i in s_idx] + [0]
-        powers = {}
-        expansion = LaurentPolynomial.constant(table, c)
-        for deg0, base in enumerate(elementary):
-            m = bv[deg0] - bv[deg0 + 1]
-            if m:
-                powers[e_idx[deg0]] = m
-                expansion = expansion * base ** m
-        done.add(LaurentPolynomial.monomial(table, powers, c))
-        work.sub(expansion)
+        ms = tuple(bv[l] - bv[l + 1] for l in range(len(s_idx)))
+        done.add(LaurentPolynomial.monomial(
+            table, {e_idx[l]: m for l, m in enumerate(ms) if m}, c
+        ))
+        work.sub(_e_monomial(table, s_idx, ms, expansions).scale(c))
     return done.poly()
 
 
-def _class_e_form(table, s_idx, e_idx, lam: tuple, cache: dict) -> LaurentPolynomial:
+def _class_e_form(table, s_idx, e_idx, lam: tuple, cache: dict,
+                  expansions: dict) -> LaurentPolynomial:
     """e-form of m_lambda, the sum of the orbit of s^lambda in one block.
 
     It does not depend on the targets, so it is kept in `cache` under
@@ -1448,12 +1462,12 @@ def _class_e_form(table, s_idx, e_idx, lam: tuple, cache: dict) -> LaurentPolyno
             for idx, e in zip(s_idx, perm):
                 exps[idx] = e
             orbit[tuple(exps)] = 1
-        form = _reduce_one_block(LaurentPolynomial(table, orbit), s_idx, e_idx)
+        form = _reduce_one_block(LaurentPolynomial(table, orbit), s_idx, e_idx, expansions)
         cache[key] = form
     return form
 
 
-def _e_form(p: LaurentPolynomial, blocks, cache: dict) -> LaurentPolynomial:
+def _e_form(p: LaurentPolynomial, blocks, cache: dict, expansions: dict) -> LaurentPolynomial:
     """Rewrite a block-symmetric polynomial in the e-symbols, class by class.
 
     The terms of p split into orbits under the block permutations. Each
@@ -1482,7 +1496,7 @@ def _e_form(p: LaurentPolynomial, blocks, cache: dict) -> LaurentPolynomial:
             if any(a < b for a, b in zip(lam, lam[1:])):
                 break
             if any(lam):
-                f = _class_e_form(p.table, s_idx, e_idx, lam, cache)
+                f = _class_e_form(p.table, s_idx, e_idx, lam, cache, expansions)
                 form = f if form is None else form * f
         else:
             total.add(rest if form is None else rest * form)
@@ -1499,7 +1513,7 @@ def elementary_reduce(p: LaurentPolynomial, blocks) -> LaurentPolynomial:
     ValueError when p is not polynomial in the block variables or already
     mentions an e-symbol.
     """
-    return _e_form(p, blocks, {})
+    return _e_form(p, blocks, {}, {})
 
 
 @dataclass(frozen=True)
@@ -1519,14 +1533,19 @@ class SymbolBlock:
 class ElementarySymbols:
     """Substitution data for eliminating all splitting variables.
 
-    `cache` holds the class e-forms (`_class_e_form`). They do not depend on
-    the targets, so symbol sets on one table with the same blocks may share
-    one cache.
+    None of its caches depends on the targets, so symbol sets on one table
+    with the same blocks may share them. `cache` holds the class e-forms
+    (`_class_e_form`) and `expansions` the expanded e-monomials they are
+    reduced with (`_e_monomial`). `orbits` holds the e-form of each orbit
+    product `psi_hat_factored` has rewritten, under the table's layout and
+    the packed key of every orbit member (`_orbit_e_form`).
     """
 
     table: VariableTable
     blocks: tuple
     cache: dict = field(default_factory=dict, compare=False, repr=False)
+    orbits: dict = field(default_factory=dict, compare=False, repr=False)
+    expansions: dict = field(default_factory=dict, compare=False, repr=False)
 
     def reduce_blocks(self):
         return [(b.s_idx, b.e_idx) for b in self.blocks]
@@ -1563,7 +1582,7 @@ def symmetric_e_form(p: LaurentPolynomial, symbols: ElementarySymbols) -> Lauren
     """Content-cleared rewriting of p in the elementary symbols."""
     p = _split_s_content(p, symbols)
     try:
-        return _e_form(p, symbols.reduce_blocks(), symbols.cache)
+        return _e_form(p, symbols.reduce_blocks(), symbols.cache, symbols.expansions)
     except NotBlockSymmetricError:
         raise PsiDomainError("not in domain of psi_hat") from None
 
@@ -1577,57 +1596,81 @@ def _part_image(p: LaurentPolynomial, symbols: ElementarySymbols,
     return form.evaluate(symbols.target_assignment())
 
 
+def _orbit_e_form(poly: LaurentPolynomial, exp: int, remaining: dict,
+                  symbols: ElementarySymbols):
+    """The orbit of a factor under the block transpositions, and its product's e-form.
+
+    Returns (member keys, e-form, signed), where `signed` tells whether the
+    e-form has a negative coefficient, or None when some member is missing
+    from `remaining` or has an exponent other than `exp`. An entry is kept
+    in `symbols.orbits` under the table's layout and the packed key of each
+    member, so after the table widens a lookup misses instead of finding
+    another polynomial's entry.
+    """
+    table = poly.table
+    key = FactoredFraction._key(poly)
+    lay = table.layout
+    entry = symbols.orbits.get((lay, key))
+    if entry is not None:
+        members = entry[0]
+    else:
+        seen = {key: poly}
+        frontier = [poly]
+        while frontier:
+            cur = frontier.pop()
+            for b in symbols.blocks:
+                s_idx = b.s_idx
+                for a in range(len(s_idx) - 1):
+                    img = swap_variables(cur, s_idx[a], s_idx[a + 1])
+                    k = FactoredFraction._key(img)
+                    if k not in seen:
+                        seen[k] = img
+                        frontier.append(img)
+        members = tuple(seen)
+    if any(k not in remaining or remaining[k][1] != exp for k in members):
+        return None
+    if entry is None:
+        product = LaurentPolynomial.one(table)
+        for member in seen.values():
+            product = product * member
+        form = symmetric_e_form(product, symbols)
+        entry = (members, form, any(c < 0 for c in form.coefficients()))
+        for k in members:
+            symbols.orbits[(lay, k)] = entry
+    return entry
+
+
 def psi_hat_factored(ff: "FactoredFraction", symbols: ElementarySymbols,
                      require_nonneg: bool = False) -> "FactoredFraction":
     """Eliminate splitting variables from a factored fraction, orbit by orbit.
 
     The map is multiplicative, so it suffices to apply it to the product of
     each orbit of factors under the block transpositions; pattern-generated
-    fractions always carry complete orbits with a uniform exponent. With
-    `require_nonneg` every orbit's e-form is certified, whatever its size;
-    the cone is closed under products, so that certifies the fraction. An
-    orbit that is not complete, or whose e-form leaves the cone, sends the
-    whole fraction down the expanded route `psi_hat(ff.expand(), ...)`,
-    which certifies its numerator and denominator or raises PsiConeError.
-    The result stays factored, one factor per orbit image.
+    fractions always carry complete orbits with a uniform exponent. Each
+    orbit's e-form is rewritten once per symbol cache (`_orbit_e_form`) and
+    evaluated at the targets on every call. With `require_nonneg` every
+    orbit's e-form is certified, whatever its size; the cone is closed
+    under products, so that certifies the fraction. An orbit that is not
+    complete, or whose e-form leaves the cone, sends the whole fraction
+    down the expanded route `psi_hat(ff.expand(), ...)`, which certifies
+    its numerator and denominator or raises PsiConeError. The result stays
+    factored, one factor per orbit image.
     """
-    table = ff.table
-    swaps = []
-    for b in symbols.blocks:
-        for a in range(len(b.s_idx) - 1):
-            swaps.append((b.s_idx[a], b.s_idx[a + 1]))
-
-    def orbit_of(poly):
-        seen = {FactoredFraction._key(poly): poly}
-        frontier = [poly]
-        while frontier:
-            cur = frontier.pop()
-            for i, j in swaps:
-                img = swap_variables(cur, i, j)
-                k = FactoredFraction._key(img)
-                if k not in seen:
-                    seen[k] = img
-                    frontier.append(img)
-        return seen
-
     remaining = dict(ff.factors)
-    out = FactoredFraction.one(table)
+    out = FactoredFraction.one(ff.table)
+    assign = symbols.target_assignment()
     while remaining:
-        key = next(iter(remaining))
-        poly, exp = remaining[key]
-        orbit = orbit_of(poly)
-        if any(
-            k not in remaining or remaining[k][1] != exp for k in orbit
-        ):
+        poly, exp = next(iter(remaining.values()))
+        orbit = _orbit_e_form(poly, exp, remaining, symbols)
+        if orbit is None:
             break
-        product = LaurentPolynomial.one(table)
-        for k in orbit:
-            product = product * remaining.pop(k)[0]
-        try:
-            value = _part_image(product, symbols, require_nonneg)
-        except PsiConeError:
-            # an orbit can leave the cone while the whole fraction is in it
+        members, form, signed = orbit
+        # an orbit can leave the cone while the whole fraction is in it
+        if require_nonneg and signed:
             break
+        for k in members:
+            del remaining[k]
+        value = form.evaluate(assign)
         if value.is_zero():
             raise PsiKernelError(
                 "denominator in kernel of psi_hat"

@@ -303,25 +303,29 @@ def _f_relation_endpoint(ge, ce, r, failures, counter) -> None:
             )
         return assign
 
+    def image(slot, assign):
+        return FactoredFraction.from_ratfn(cross_evaluate(ce.F[slot], assign, table))
+
+    # both forms stay factored, so equal factors merge and every orbit's
+    # product is rewritten once, in the symbols' orbit cache
     base_assign = split_assignment()
     for i in range(n):
-        rhs = RationalFunction.from_poly(ge.F[i].transplant(table))
-        prod = RationalFunction.one(table)
+        rhs = FactoredFraction.from_poly(ge.F[i].transplant(table))
+        prod = FactoredFraction.one(table)
         for l in range(r[i]):
-            prod = prod * cross_evaluate(ce.F[offs[i] + l], base_assign, table)
-        lhs = psi_hat(prod, symbols)
+            prod = prod * image(offs[i] + l, base_assign)
+        lhs = psi_hat_factored(prod, symbols)
         counter[0] += 1
-        if lhs != rhs:
+        if not ff_eq(lhs, rhs):
             failures.append(f"direction {i + 1}: block product form differs")
         # transposition form: one slot's polynomial at all swapped arguments
         for l0 in range(r[i]):
-            prod2 = RationalFunction.one(table)
+            prod2 = FactoredFraction.one(table)
             for m in range(r[i]):
-                assign = split_assignment(swap=(i, l0, m))
-                prod2 = prod2 * cross_evaluate(ce.F[offs[i] + l0], assign, table)
-            lhs2 = psi_hat(prod2, symbols)
+                prod2 = prod2 * image(offs[i] + l0, split_assignment(swap=(i, l0, m)))
+            lhs2 = psi_hat_factored(prod2, symbols)
             counter[0] += 1
-            if lhs2 != rhs:
+            if not ff_eq(lhs2, rhs):
                 failures.append(
                     f"direction {i + 1}: transposed form differs at slot {l0 + 1}"
                 )

@@ -11,6 +11,8 @@ from gencluster.polyring import (
     RationalFunction,
     SymbolBlock,
     VariableTable,
+    psi_hat,
+    psi_hat_factored,
 )
 from gencluster.semifield import (
     P0_ZERO,
@@ -326,6 +328,48 @@ def test_psi_certifies_large_parts():
     element = SemifieldElement.universal(ext, RationalFunction.from_poly(part))
     with pytest.raises(PsiConeError):
         psi(element, symbols, base)
+
+
+def test_cached_signed_orbit_is_still_certified():
+    # the unchecked call caches the signed e-form e11^2 - 2*e12; the cache
+    # must not let a certifying call skip the cone check
+    table, base, ext, symbols = _psi_setup()
+    s11 = LaurentPolynomial.variable(table, "s11")
+    s12 = LaurentPolynomial.variable(table, "s12")
+    ff = FactoredFraction.from_poly(s11 ** 2 + s12 ** 2)
+    z = RationalFunction.variable(table, "z")
+    assert psi_hat_factored(ff, symbols) == z * z - RationalFunction.constant(table, 2)
+    assert symbols.orbits
+    with pytest.raises(PsiConeError):
+        psi_hat_factored(ff, symbols, require_nonneg=True)
+    with pytest.raises(PsiConeError):
+        psi(SemifieldElement(ext, ff), symbols, base)
+
+
+def test_orbit_cache_misses_after_the_table_widens():
+    table, base, ext, symbols = _psi_setup()
+    one = LaurentPolynomial.one(table)
+    y = LaurentPolynomial.variable(table, "y")
+    z = LaurentPolynomial.variable(table, "z")
+    split = [LaurentPolynomial.variable(table, s) for s in ("s11", "s12")]
+    members = [one + s * y + s * s * z for s in split]
+
+    def fraction():
+        return FactoredFraction.from_poly(members[0]) * FactoredFraction.from_poly(members[1])
+
+    ff = fraction()
+    want = FactoredFraction.from_ratfn(psi_hat(ff.expand(), symbols))
+    assert psi_hat_factored(ff, symbols) == want
+    old = table.layout
+    assert {lay for lay, _ in symbols.orbits} == {old}
+    table.widen()
+    # the old fraction's keys are stale; a rebuilt one is keyed anew, and
+    # neither may be served an entry stored under the old layout
+    for again in (ff, fraction()):
+        assert psi_hat_factored(again, symbols) == FactoredFraction.from_ratfn(
+            psi_hat(again.expand(), symbols)
+        )
+    assert {lay for lay, _ in symbols.orbits} == {old, table.layout}
 
 
 def test_psi_reciprocal_specialization():

@@ -84,6 +84,68 @@ def test_realization_checks_share_one_class_cache(monkeypatch):
     assert rz.elem_ring.cache is rz.elem_sf.cache
     assert len(calls) == len(rz.elem_ring.cache) > 0
 
+
+def test_realization_checks_eliminate_each_orbit_once(monkeypatch):
+    # x- and y-realization share one orbit cache, so a second x-run
+    # rewrites no orbit product again
+    rz = case_realization(2)
+    calls = []
+    symmetric_e_form = polyring.symmetric_e_form
+
+    def counted(*args):
+        calls.append(args)
+        return symmetric_e_form(*args)
+
+    monkeypatch.setattr(polyring, "symmetric_e_form", counted)
+    assert check_y_realization(rz, (1, 2, 1)).passed
+    assert check_x_realization(rz, (1, 2, 1)).passed
+    first = len(calls)
+    assert check_x_realization(rz, (1, 2, 1)).passed
+    assert len(calls) == first > 0
+    assert rz.elem_ring.orbits is rz.elem_sf.orbits
+    # one e-form per orbit: each entry is shared by all of its members
+    assert len({id(entry) for entry in rz.elem_ring.orbits.values()}) == first
+
+
+# f-relation report sizes, (endpoint mode, auto mode) per word; auto mode
+# skips the case2 endpoint at 2,1,2 by its size estimate
+F_RELATION_TESTED = {
+    1: {(1,): (13, 13), (2,): (13, 13), (1, 2): (21, 21), (2, 1): (21, 21),
+        (1, 2, 1): (29, 29), (2, 1, 2): (29, 29)},
+    2: {(1,): (15, 15), (2,): (15, 15), (1, 2): (23, 23), (2, 1): (23, 23),
+        (1, 2, 1): (31, 31), (2, 1, 2): (31, 24)},
+}
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_f_relation_endpoint_matches_the_expanded_route(case, monkeypatch):
+    # every factored endpoint image equals psi_hat of the expanded product,
+    # and every factor went through the orbit route, not the fallback
+    from gencluster import verify
+
+    B, R = (B1, R1) if case == 1 else (B2, R2)
+    factored = polyring.psi_hat_factored
+    images = []
+
+    def oracle(ff, symbols, require_nonneg=False):
+        out = factored(ff, symbols, require_nonneg)
+        lay = ff.table.layout
+        assert all((lay, key) in symbols.orbits for key in ff.factors)
+        want = polyring.psi_hat(ff.expand(), symbols)
+        assert polyring.ff_eq(out, polyring.FactoredFraction.from_ratfn(want))
+        images.append(out)
+        return out
+
+    monkeypatch.setattr(verify, "psi_hat_factored", oracle)
+    for word, (tested, auto) in F_RELATION_TESTED[case].items():
+        before = len(images)
+        report = check_f_relation(B, R, word, mode="endpoint")
+        assert report.passed and report.tested == tested
+        # the block product and one transposed form per slot, per direction
+        assert len(images) - before == sum(1 + ri for ri in R)
+        assert check_f_relation(B, R, word).tested == auto
+
+
 def test_cg_relations_cases():
     for word in [(), (1, 2), (1, 2, 1)]:
         assert check_cg_relations(B1, R1, word).passed
