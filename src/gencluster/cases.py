@@ -14,7 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .polyring import LaurentPolynomial
-from .composite import Realization, block_offsets, build_realization, enlarge, sigma_of_word
+from .composite import (
+    Realization,
+    block_offsets,
+    build_realization,
+    coefficient_names,
+    enlarge,
+    sigma_of_word,
+    slot_name,
+)
 from .pattern import ExchangeMatrix, render_matrix
 from .invariants import CompositeInvariants, GeneralizedInvariants
 
@@ -201,15 +209,13 @@ def case_document(case: int) -> dict:
     data = case_data(case)
     n = data["rank"]
     r = data["degree"]
-    gens = [f"y{i + 1}" for i in range(n)] + [
-        f"z{i + 1}{l + 1}" for i in range(n) for l in range(r[i] - 1)
-    ]
+    gens = coefficient_names(r)
     one_term = [{"multiplicity": 1, "monomial": {}}]
     Z = []
     for i in range(n):
         row = [list(one_term)]
         for l in range(r[i] - 1):
-            row.append([{"multiplicity": 1, "monomial": {f"z{i + 1}{l + 1}": 1}}])
+            row.append([{"multiplicity": 1, "monomial": {slot_name("z", i, l, n): 1}}])
         row.append(list(one_term))
         Z.append(row)
     return {

@@ -359,8 +359,6 @@ def _run_seed_check(name, rz: Realization, word):
         return check(rz, word)
     if name == "laurent-positive":
         return check(rz.g_seed, word)
-    if name == "enlargement":
-        return check(rz.g_seed.B, rz.r, word)
     return check(rz.g_seed.B, rz.r, word)
 
 

@@ -30,6 +30,7 @@ from .pattern import (
     mutate_y_seed,
     pos,
     validate_seed,
+    y_hat,
 )
 from .semifield import (
     P0_ZERO,
@@ -133,7 +134,7 @@ class CompositeSeed:
     def flat(self, i: int, l: int) -> int:
         return block_offsets(self.r)[i] + l
 
-    def x(self, i: int, l: int) -> RationalFunction:
+    def x(self, i: int, l: int) -> FactoredFraction:
         return self.ordinary.x[self.flat(i, l)]
 
     def y(self, i: int, l: int) -> SemifieldElement:
@@ -210,22 +211,11 @@ def composite_mutate_closed(seed: CompositeSeed, k: int) -> CompositeSeed:
     new_x = list(ordinary.x)
     for l in range(rk):
         flat = offs[k0] + l
-        ykl = ordinary.y[flat]
-        hat = ykl.as_factored(table)
-        for (j, m) in pairs:
-            b = ordinary.B.rows[offs[j] + m][flat]
-            if b:
-                hat = hat * ordinary.x[offs[j] + m] ** b
-        hat_num, hat_den = hat.expand_parts()
-        one_plus_hat = FactoredFraction.from_poly(hat_num + hat_den) * (
-            hat.negative_part() ** -1
-        )
-        ykl_num, ykl_den = ykl.as_factored(table).expand_parts()
-        one_plus_y = FactoredFraction.from_poly(ykl_num + ykl_den) * (
-            ykl.as_factored(table).negative_part() ** -1
-        )
         new_x[flat] = (
-            ordinary.x[flat].inverse() * mult * one_plus_hat * one_plus_y.inverse()
+            ordinary.x[flat].inverse()
+            * mult
+            * _one_plus(y_hat(ordinary, flat))
+            * _one_plus(ordinary.y[flat].as_factored(table)).inverse()
         )
 
     block_prod = None
@@ -262,6 +252,12 @@ def composite_mutate_closed(seed: CompositeSeed, k: int) -> CompositeSeed:
         B=ExchangeMatrix(new_big.rows, ordinary.B.d),
     )
     return _flip_block(seed, k0, new_ord)
+
+
+def _one_plus(ff: FactoredFraction) -> FactoredFraction:
+    """1 + ff, over ff's denominator kept factored."""
+    num, den = ff.expand_parts()
+    return FactoredFraction.from_poly(num + den) * ff.negative_part().inverse()
 
 
 def _one_oplus(y: SemifieldElement) -> SemifieldElement:
@@ -316,26 +312,15 @@ def aggregates(seed: CompositeSeed, g_seed: GeneralizedSeed) -> Aggregates:
     bcore = read_block_matrix(seed.ordinary.B, seed.r)
     Yhat = []
     for i in range(n):
-        v = g_seed.y[i].as_factored(table)
+        xb = FactoredFraction.one(table)
         for j in range(n):
             b = bcore.rows[j][i]
             if b:
-                v = v * X[j] ** b
-        Yhat.append(v)
-    for i in range(n):
+                xb = xb * X[j] ** b
+        Yhat.append(g_seed.y[i].as_factored(table) * xb)
         for l in range(seed.r[i]):
             flat = offs[i] + l
-            hat = seed.ordinary.y[flat].as_factored(table)
-            for j in range(n):
-                b = bcore.rows[j][i]
-                if b:
-                    hat = hat * X[j] ** b
-            direct = seed.ordinary.y[flat].as_factored(table)
-            for (j, m) in block_pairs(seed.r):
-                b = seed.ordinary.B.rows[offs[j] + m][flat]
-                if b:
-                    direct = direct * seed.ordinary.x[offs[j] + m] ** b
-            if hat != direct:
+            if seed.ordinary.y[flat].as_factored(table) * xb != y_hat(seed.ordinary, flat):
                 raise ValueError("seeds are not at the same vertex")
     return Aggregates(X=tuple(X), Yhat=tuple(Yhat))
 
@@ -354,6 +339,21 @@ def slot_name(prefix: str, i: int, l: int, n: int) -> str:
     if n < 10 and l < 9:
         return f"{prefix}{i + 1}{l + 1}"
     return f"{prefix}{i + 1}_{l + 1}"
+
+
+def slot_names(prefix: str, r, interior: bool = False) -> list:
+    """The names of one slot family over the degrees r, in flat order.
+
+    With `interior`, block i has r_i - 1 slots, one per interior exchange
+    coefficient, as in the generators z_il.
+    """
+    n = len(r)
+    return [slot_name(prefix, i, l, n) for i in range(n) for l in range(r[i] - interior)]
+
+
+def coefficient_names(r) -> list:
+    """The generic coefficient generators y1..yn, then every z_il."""
+    return [f"y{i + 1}" for i in range(len(r))] + slot_names("z", r, interior=True)
 
 
 @dataclass(frozen=True)
@@ -451,9 +451,7 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
     if generic:
         if kind != "universal":
             raise ValueError("generic coefficients require the universal semifield")
-        generators = [f"y{i + 1}" for i in range(n)] + [
-            slot_name("z", i, l, n) for i in range(n) for l in range(r[i] - 1)
-        ]
+        generators = coefficient_names(r)
         y_values = [{f"y{i + 1}": 1} for i in range(n)]
         z_values = [
             [[(1, {slot_name("z", i, l, n): 1})] for l in range(r[i] - 1)]
@@ -462,24 +460,22 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
     generators = tuple(generators)
 
     gx_names = [f"x{i + 1}" for i in range(n)]
-    cx_names = [slot_name("x", i, l, n) for i in range(n) for l in range(r[i])]
-    s_names = [slot_name("s", i, l, n) for i in range(n) for l in range(r[i])]
-    e_names = [slot_name("e", i, l, n) for i in range(n) for l in range(r[i])]
+    cx_names = slot_names("x", r)
+    s_names = slot_names("s", r)
+    e_names = slot_names("e", r)
     table = VariableTable(
         gx_names + cx_names + list(generators) + s_names + e_names
     )
 
     offs = block_offsets(r)
+
+    def by_block(names):
+        return tuple(
+            tuple(table.index(nm) for nm in names[offs[i]:offs[i] + r[i]]) for i in range(n)
+        )
+
     gx = tuple(table.index(nm) for nm in gx_names)
-    cx = tuple(
-        tuple(table.index(slot_name("x", i, l, n)) for l in range(r[i])) for i in range(n)
-    )
-    s_idx = tuple(
-        tuple(table.index(slot_name("s", i, l, n)) for l in range(r[i])) for i in range(n)
-    )
-    e_idx = tuple(
-        tuple(table.index(slot_name("e", i, l, n)) for l in range(r[i])) for i in range(n)
-    )
+    cx, s_idx, e_idx = by_block(cx_names), by_block(s_names), by_block(e_names)
     layout = RealizationLayout(gx=gx, cx=cx, s=s_idx, e=e_idx,
                                gens=tuple(table.index(g) for g in generators))
 

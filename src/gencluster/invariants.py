@@ -25,14 +25,16 @@ from .pattern import (
     check_word,
     mutate_B,
     pos,
+    y_hat,
 )
 from .composite import (
     Realization,
     block_offsets,
     block_pairs,
+    coefficient_names,
     enlarge,
     read_block_matrix,
-    slot_name,
+    slot_names,
 )
 from .semifield import (
     SemifieldElement,
@@ -178,13 +180,10 @@ class GeneralizedInvariants(_InvariantWalk):
     def __init__(self, B: ExchangeMatrix, r, track_f: bool = True):
         self.n = B.n
         self.r = tuple(r)
-        names = [f"y{i + 1}" for i in range(self.n)]
-        self.zpos = {}
-        for i in range(self.n):
-            for l in range(self.r[i] - 1):
-                self.zpos[(i, l + 1)] = len(names)
-                names.append(slot_name("z", i, l, self.n))
-        super().__init__(B, self.r, names, track_f)
+        interior = [(i, l + 1) for i in range(self.n) for l in range(self.r[i] - 1)]
+        # variable n + t of the table is z_il for the t-th interior (i, l)
+        self.zpos = {il: self.n + t for t, il in enumerate(interior)}
+        super().__init__(B, self.r, coefficient_names(self.r), track_f)
         self.reversed = [False] * self.n
 
     def zcoeff(self, i: int, l: int) -> LaurentPolynomial:
@@ -218,8 +217,9 @@ class CompositeInvariants(_InvariantWalk):
         self.pairs = block_pairs(self.r)
         self.offsets = block_offsets(self.r)
         self.size = sum(self.r)
-        names = [slot_name("y", i, l, self.nblocks) for (i, l) in self.pairs]
-        super().__init__(enlarge(B, self.r), (1,) * self.size, names, track_f)
+        self.zpos = {}  # degree one: no interior exchange coefficients
+        super().__init__(enlarge(B, self.r), (1,) * self.size, slot_names("y", self.r),
+                         track_f)
 
     def flat(self, i, l):
         return self.offsets[i] + l
@@ -267,37 +267,30 @@ def f_polynomials(pattern: str, B: ExchangeMatrix, r, word):
 # -- separation formulas -----------------------------------------------------
 
 
-def separation_reconstruct_generalized(seed0: GeneralizedSeed, word):
-    """Rebuild the cluster variables and coefficients at the end of a word.
+def _separate(seed0: GeneralizedSeed, eng: _InvariantWalk):
+    """Cluster variables and coefficients at the end of an engine's walk.
 
-    Uses only the initial seed data and the invariants; the result must
-    agree with direct mutation along the same word.
+    The separation formula (Fomin-Zelevinsky, Cluster algebras IV; Nakanishi
+    for generalized patterns), from the initial seed data and the
+    invariants alone:
+
+        x_i = prod_j x_j^(g_ji) * F_i(y-hat, z) / F_i|_P(y, z)
+        y_i = prod_j y_j^(c_ji) * prod_j F_j|_P(y, z)^(b_ji)
+
+    where F_j|_P is F_j evaluated in the coefficient semifield.
     """
-    eng = GeneralizedInvariants(seed0.B, seed0.r).walk(word)
     table = seed0.table
     n = seed0.n
     kind = seed0.y[0].kind
 
-    hat = []
-    for j in range(n):
-        h = seed0.y[j].as_factored(table)
-        for m in range(n):
-            b = seed0.B.rows[m][j]
-            if b:
-                h = h * seed0.x[m] ** b
-        hat.append(h.expand())
-
-    ring_assign = {}
-    sf_assign = {}
-    for j in range(n):
-        ring_assign[j] = hat[j]
-        sf_assign[j] = seed0.y[j]
+    ring_assign = {j: y_hat(seed0, j).expand() for j in range(n)}
+    sf_assign = dict(enumerate(seed0.y))
     for (i, l), idx in eng.zpos.items():
         zc = seed0.Z[i].coeffs[l]
         ring_assign[idx] = zc.as_ratfn(table)
         sf_assign[idx] = project_np(zc)
 
-    fden = [evaluate_poly_semifield(eng.F[i], sf_assign, kind) for i in range(n)]
+    fden = [evaluate_poly_semifield(f, sf_assign, kind) for f in eng.F]
 
     xs = []
     for i in range(n):
@@ -313,64 +306,32 @@ def separation_reconstruct_generalized(seed0: GeneralizedSeed, word):
     ys = []
     for i in range(n):
         acc = None
-        for j in range(n):
-            c = eng.C[j][i]
-            if c:
-                part = sf_pow(seed0.y[j], c)
-                acc = part if acc is None else sf_mul(acc, part)
-        for j in range(n):
-            b = eng.B[j][i]
-            if b:
-                part = sf_pow(fden[j], b)
-                acc = part if acc is None else sf_mul(acc, part)
+        for base, exps in ((seed0.y, eng.C), (fden, eng.B)):
+            for j in range(n):
+                e = exps[j][i]
+                if e:
+                    part = sf_pow(base[j], e)
+                    acc = part if acc is None else sf_mul(acc, part)
         ys.append(acc if acc is not None else SemifieldElement.one(kind))
     return xs, ys
 
 
+def separation_reconstruct_generalized(seed0: GeneralizedSeed, word):
+    """Rebuild the cluster variables and coefficients at the end of a word.
+
+    Uses only the initial seed data and the invariants; the result must
+    agree with direct mutation along the same word.
+    """
+    return _separate(seed0, GeneralizedInvariants(seed0.B, seed0.r).walk(word))
+
+
 def separation_reconstruct_composite(rz: Realization, word):
-    """Composite-side separation: rebuild all per-slot variables at a vertex."""
+    """Composite-side separation: rebuild all per-slot variables at a vertex.
+
+    The composite pattern is the degree-one pattern on the enlarged
+    matrix, so this is the same formula on the composite seed; the
+    coefficients come back as rational functions.
+    """
     eng = CompositeInvariants(rz.g_seed.B, rz.r).walk(word)
-    table = rz.table
-    seed0 = rz.c_seed.ordinary
-    size = eng.size
-
-    hat = []
-    for jm in range(size):
-        h = seed0.y[jm].as_factored(table)
-        for ab in range(size):
-            b = seed0.B.rows[ab][jm]
-            if b:
-                h = h * seed0.x[ab] ** b
-        hat.append(h.expand())
-
-    num_assign = {jm: hat[jm] for jm in range(size)}
-    den_assign = {jm: seed0.y[jm].as_ratfn(table) for jm in range(size)}
-
-    fden = [cross_evaluate(eng.F[jm], den_assign, table) for jm in range(size)]
-
-    xs = []
-    for il in range(size):
-        v = FactoredFraction.one(table)
-        for jm in range(size):
-            g = eng.G[jm][il]
-            if g:
-                v = v * seed0.x[jm] ** g
-        v = v * FactoredFraction.from_ratfn(cross_evaluate(eng.F[il], num_assign, table))
-        v = v * FactoredFraction.from_ratfn(fden[il]).inverse()
-        xs.append(v.expand())
-
-    bcore = eng.block_core()
-    pairs = eng.pairs
-    ys = []
-    for il, (i, l) in enumerate(pairs):
-        v = FactoredFraction.one(table)
-        for jm in range(size):
-            c = eng.C[jm][il]
-            if c:
-                v = v * seed0.y[jm].as_factored(table) ** c
-        for jm, (j, m) in enumerate(pairs):
-            b = bcore.rows[j][i]
-            if b:
-                v = v * FactoredFraction.from_ratfn(fden[jm]) ** b
-        ys.append(v.expand())
-    return xs, ys
+    xs, ys = _separate(rz.c_seed.ordinary, eng)
+    return xs, [y.as_ratfn(rz.table) for y in ys]

@@ -315,6 +315,15 @@ def _mutate_coefficients(seed: GeneralizedSeed, k: int):
     ), spec
 
 
+def y_hat(seed: GeneralizedSeed, k0: int) -> FactoredFraction:
+    """The hat-variable y_k * prod_j x_j^(b_jk) of direction k0 (0-based), factored."""
+    hat = seed.y[k0].as_factored(seed.table)
+    for j, row in enumerate(seed.B.rows):
+        if row[k0]:
+            hat = hat * seed.x[j] ** row[k0]
+    return hat
+
+
 def _mutated_variable(seed: GeneralizedSeed, k0: int, rk: int,
                       Zk: ExchangePolynomial, spec) -> FactoredFraction:
     """New cluster variable in direction k, in factored form.
@@ -325,18 +334,10 @@ def _mutated_variable(seed: GeneralizedSeed, k0: int, rk: int,
     mutation divides away again cancels by exponent arithmetic.
     """
     table = seed.table
-    n = seed.n
-    B = seed.B.rows
-
-    hat = seed.y[k0].as_factored(table)
+    hat = y_hat(seed, k0)
     mult = FactoredFraction.one(table)
-    for j in range(n):
-        if j == k0:
-            continue
-        b = B[j][k0]
-        if b:
-            hat = hat * seed.x[j] ** b
-        e = pos(-b)
+    for j, row in enumerate(seed.B.rows):
+        e = pos(-row[k0])
         if e:
             mult = mult * seed.x[j] ** e
 

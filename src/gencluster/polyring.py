@@ -465,10 +465,10 @@ class LaurentPolynomial:
         is translation-invariant, so an exact quotient's largest key is
         max(self) - max(divisor): the division fails as soon as a quotient
         key passes that bound, and at once when the bound is below
-        min(self) - min(divisor), the smallest quotient key. The term cap
-        stops what the bound cannot; for nonnegative quotient and divisor
-        the quotient has at most as many terms as the dividend, so the cap
-        never fires on valid inputs.
+        min(self) - min(divisor), the smallest quotient key. A term cap
+        stops what the bound cannot: once the quotient outgrows the
+        dividend, the division fails when it has more terms than fit in the
+        box of exponents an exact quotient spans.
         """
         _check_table(self, divisor)
         if divisor.is_zero():
@@ -766,7 +766,8 @@ def _div_terms(a: dict, b: dict, lay: KeyLayout):
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     out: dict = {}
-    cap = len(work) + 1000
+    # the dividend's size, then, once the quotient outgrows it, the box bound
+    cap, boxed = len(a), False
     while work:
         while heap and heap[0] not in work:
             heappop(heap)
@@ -783,7 +784,11 @@ def _div_terms(a: dict, b: dict, lay: KeyLayout):
             raise _FieldOverflow
         out[mono] = q
         if len(out) > cap:
-            return None
+            if boxed:
+                return None
+            cap, boxed = _quotient_box(a, b, lay), True
+            if len(out) > cap:
+                return None
         del work[lead]
         get = work.get
         for e, c in rest:
@@ -801,6 +806,22 @@ def _div_terms(a: dict, b: dict, lay: KeyLayout):
                 else:
                     del work[key]
     return out
+
+
+def _quotient_box(a: dict, b: dict, lay: KeyLayout) -> int:
+    """Most terms an exact quotient of packed term dicts a / b can have.
+
+    Exponent spans add under products, so an exact quotient spans
+    span(a) - span(b) in each variable: its terms fit in a box of
+    span(a) - span(b) + 1 exponents per variable. 0 when a divisor span
+    exceeds the dividend's, as then no exact quotient exists.
+    """
+    total = 1
+    for sa, sb in zip(_spans(a, lay), _spans(b, lay)):
+        if sa < sb:
+            return 0
+        total *= sa - sb + 1
+    return total
 
 
 def _remap_terms(d: dict, src: KeyLayout, dst: KeyLayout, moves, keep: bool):
@@ -956,9 +977,8 @@ def split_terms(p: LaurentPolynomial, idx) -> dict:
     }
 
 
-def _spans(p: LaurentPolynomial) -> list:
-    """Each variable's exponent span, max - min over the terms of nonzero p."""
-    lay, d = p._lay, p._d
+def _spans(d: dict, lay: KeyLayout) -> list:
+    """Each variable's exponent span, max - min over the packed terms d."""
     mask = lay.mask
     out = []
     for s in lay.shifts:
@@ -1071,7 +1091,7 @@ class RationalFunction:
         # Exponent spans add under multiplication, so c = a*k needs
         # span(c) >= span(a) in every variable; a division that cannot
         # succeed is not started, as its descent may run to the term cap.
-        sa, sc = _spans(a), _spans(c)
+        sa, sc = _spans(a._d, a._lay), _spans(c._d, c._lay)
         if len(c) >= len(a) and all(map(ge, sc, sa)):
             k = c.exact_div(a)
             if k is not None:

@@ -22,6 +22,7 @@ from .polyring import (
     PsiDomainError,
     RationalFunction,
     VariableTable,
+    cross_evaluate,
     ff_add,
     ff_eq,
     psi_hat_factored,
@@ -436,11 +437,26 @@ def evaluate_poly_semifield(poly: LaurentPolynomial, assign: dict, kind: Semifie
     `assign` maps variable indices to semifield elements or the zero
     marker; all coefficients must be nonnegative and every supported
     variable assigned. Returns a semifield element or the zero marker.
+    The universal addition is the ordinary one, so there the whole sum is
+    one `cross_evaluate` of the assigned fractions, with the zero marker
+    sent to 0.
     """
+    if any(c < 0 for c in poly.coefficients()):
+        raise ValueError("not in NP")
+    if kind.kind == UNIVERSAL:
+        support = poly.support_vars()
+        dead = {i for i in support if assign[i] is P0_ZERO}
+        if dead and min(poly.monomial_content()[i] for i in dead) < 0:
+            raise ZeroDivisionError("negative power of zero")
+        table = kind.table
+        values = {
+            i: RationalFunction.zero(table) if i in dead else assign[i].as_ratfn(table)
+            for i in support
+        }
+        total = cross_evaluate(poly, values, table)
+        return P0_ZERO if total.is_zero() else SemifieldElement(kind, total)
     acc = None
     for powers, c in poly.sparse_terms():
-        if c < 0:
-            raise ValueError("not in NP")
         value = None
         dead = False
         for i, e in powers:

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from math import gcd
 
 from .polyring import (
+    ElementarySymbols,
     FactoredFraction,
     LaurentPolynomial,
     RationalFunction,
+    SymbolBlock,
     TermLimitError,
     VariableTable,
     cross_evaluate,
@@ -29,6 +31,7 @@ from .polyring import (
 )
 from .pattern import (
     ExchangeMatrix,
+    ExchangePolynomial,
     GeneralizedSeed,
     check_word,
     mutate_B,
@@ -47,9 +50,11 @@ from .composite import (
     composite_mutate_closed,
     composite_walk,
     composite_walk_y,
+    coefficient_names,
     enlarge,
     sigma_of_word,
     slot_name,
+    slot_names,
 )
 from .invariants import (
     CompositeInvariants,
@@ -57,7 +62,15 @@ from .invariants import (
     separation_reconstruct_composite,
     separation_reconstruct_generalized,
 )
-from .semifield import SemifieldElement, psi, sf_eq, sf_mul, sf_pow
+from .semifield import (
+    GroupRingElement,
+    SemifieldElement,
+    SemifieldKind,
+    psi,
+    sf_eq,
+    sf_mul,
+    sf_pow,
+)
 
 
 class ExpressionSwellError(RuntimeError):
@@ -181,90 +194,62 @@ def check_x_realization(rz: Realization, word, term_limit=None) -> CheckReport:
 def check_cg_relations(B: ExchangeMatrix, r, word) -> CheckReport:
     """Column/row sums and shifted entries tie the two invariant families."""
     started = time.perf_counter()
-    n = B.n
-    word = check_word(word, n)
+    word = check_word(word, B.n)
     ge = GeneralizedInvariants(B, r, track_f=False).walk(word)
     ce = CompositeInvariants(B, r, track_f=False).walk(word)
-    sig = sigma_of_word(word, n)
-    offs = block_offsets(r)
+    sig = sigma_of_word(word, B.n)
     failures = []
-    tested = 0
-
-    def fail(msg):
-        failures.append(msg)
-
-    for i in range(n):
-        for j in range(n):
-            cg = ge.C[i][j]
-            gg = ge.G[i][j]
-            delta = 1 if i == j else 0
-            # block-column sums of C, for every representative column
-            for m0 in range(r[j]):
-                s = sum(ce.C[offs[i] + l][offs[j] + m0] for l in range(r[i]))
-                tested += 1
-                if s != cg:
-                    fail(f"C sum ({i + 1},{j + 1}) m0={m0 + 1}: {s} != {cg}")
-            # block-row sums of C, rescaled
-            for l0 in range(r[i]):
-                s = sum(ce.C[offs[i] + l0][offs[j] + m] for m in range(r[j]))
-                tested += 1
-                if r[j] * cg != r[i] * s:
-                    fail(f"C rescaled sum ({i + 1},{j + 1}) l0={l0 + 1}")
-            # shifted entries are constant on the block and rebuild cg
-            tilde = {
-                ce.C[offs[i] + l][offs[j] + m]
-                - (sig[j] if (i, l) == (j, m) else 0)
-                for l in range(r[i])
-                for m in range(r[j])
-            }
-            tested += 1
-            if len(tilde) != 1:
-                fail(f"C shifted entries not constant at ({i + 1},{j + 1})")
-            else:
-                tested += 1
-                if cg != r[i] * tilde.pop() + (sig[j] if i == j else 0):
-                    fail(f"C shifted form differs at ({i + 1},{j + 1})")
-            # block-row sums of G, for every representative row
-            for l0 in range(r[i]):
-                s = sum(ce.G[offs[i] + l0][offs[j] + m] for m in range(r[j]))
-                tested += 1
-                if s != gg:
-                    fail(f"G sum ({i + 1},{j + 1}) l0={l0 + 1}: {s} != {gg}")
-            # block-column sums of G, rescaled
-            for m0 in range(r[j]):
-                s = sum(ce.G[offs[i] + l][offs[j] + m0] for l in range(r[i]))
-                tested += 1
-                if r[i] * gg != r[j] * s:
-                    fail(f"G rescaled sum ({i + 1},{j + 1}) m0={m0 + 1}")
-            tilde = {
-                ce.G[offs[i] + l][offs[j] + m]
-                - (sig[j] if (i, l) == (j, m) else 0)
-                for l in range(r[i])
-                for m in range(r[j])
-            }
-            tested += 1
-            if len(tilde) != 1:
-                fail(f"G shifted entries not constant at ({i + 1},{j + 1})")
-            else:
-                tested += 1
-                if gg != r[j] * tilde.pop() + (sig[j] if i == j else 0):
-                    fail(f"G shifted form differs at ({i + 1},{j + 1})")
+    tested = _block_relations("C", ce.C, ge.C, r, sig, failures)
+    tested += _block_relations("G", list(zip(*ce.G)), list(zip(*ge.G)), r, sig, failures)
     return _report("cg-relations", word, failures, tested, started)
 
 
-def _relation_table(n, r):
-    names = [f"y{i + 1}" for i in range(n)]
+def _block_relations(label, fine, coarse, r, sig, failures) -> int:
+    """The relations between a composite matrix and its generalized one.
+
+    In block (i, j) of `fine` every column sums to coarse[i][j], every row
+    to r_j / r_i times it, and the entries less sig_j on the block diagonal
+    are one constant t with coarse[i][j] = r_i t (+ sig_j when i == j).
+    These are the C-relations; the G-relations are the same on the
+    transposed matrices, so a G witness names the transposed block.
+    Returns the number of equalities tested.
+    """
+    offs = block_offsets(r)
+    n = len(r)
+    tested = 0
     for i in range(n):
-        for l in range(r[i] - 1):
-            names.append(slot_name("z", i, l, n))
-    s_names = [slot_name("s", i, l, n) for i in range(n) for l in range(r[i])]
-    e_names = [slot_name("e", i, l, n) for i in range(n) for l in range(r[i])]
-    return VariableTable(names + s_names + e_names)
+        for j in range(n):
+            want = coarse[i][j]
+            block = [fine[offs[i] + l][offs[j]:offs[j] + r[j]] for l in range(r[i])]
+            for m0 in range(r[j]):
+                s = sum(row[m0] for row in block)
+                tested += 1
+                if s != want:
+                    failures.append(f"{label} sum ({i + 1},{j + 1}) m0={m0 + 1}: {s} != {want}")
+            for l0, row in enumerate(block):
+                tested += 1
+                if r[j] * want != r[i] * sum(row):
+                    failures.append(f"{label} rescaled sum ({i + 1},{j + 1}) l0={l0 + 1}")
+            tilde = {
+                v - (sig[j] if (i, l) == (j, m) else 0)
+                for l, row in enumerate(block)
+                for m, v in enumerate(row)
+            }
+            tested += 1
+            if len(tilde) != 1:
+                failures.append(f"{label} shifted entries not constant at ({i + 1},{j + 1})")
+                continue
+            tested += 1
+            if want != r[i] * tilde.pop() + (sig[j] if i == j else 0):
+                failures.append(f"{label} shifted form differs at ({i + 1},{j + 1})")
+    return tested
+
+
+def _relation_table(r):
+    return VariableTable(coefficient_names(r) + slot_names("s", r) + slot_names("e", r))
 
 
 def _relation_symbols(table, n, r):
-    from .polyring import ElementarySymbols, SymbolBlock
-
     blocks = []
     for i in range(n):
         s_idx = tuple(table.index(slot_name("s", i, l, n)) for l in range(r[i]))
@@ -284,7 +269,7 @@ def _relation_symbols(table, n, r):
 def _f_relation_endpoint(ge, ce, r, failures, counter) -> None:
     """Direct endpoint comparison, both the block-product and swapped forms."""
     n = ge.n
-    table = _relation_table(n, r)
+    table = _relation_table(r)
     symbols = _relation_symbols(table, n, r)
     pairs = block_pairs(r)
     offs = block_offsets(r)
@@ -331,16 +316,11 @@ def _f_relation_endpoint(ge, ce, r, failures, counter) -> None:
                 )
 
 
-def _stepwise_table(n, r):
-    names = [f"y{i + 1}" for i in range(n)]
-    for i in range(n):
-        for l in range(r[i] - 1):
-            names.append(slot_name("z", i, l, n))
-    names += [f"phi{i + 1}" for i in range(n)]
-    names += [slot_name("s", i, l, n) for i in range(n) for l in range(r[i])]
-    names += [slot_name("e", i, l, n) for i in range(n) for l in range(r[i])]
-    names.append("qarg")
-    return VariableTable(names)
+def _stepwise_table(r):
+    phi_names = [f"phi{i + 1}" for i in range(len(r))]
+    return VariableTable(
+        coefficient_names(r) + phi_names + slot_names("s", r) + slot_names("e", r) + ["qarg"]
+    )
 
 
 def _f_relation_step(ge, ce, k, table, symbols, failures, counter) -> None:
@@ -453,13 +433,17 @@ def _gamma_monomial(table, gamma_y, bcore, k0, n):
     return tuple(exps)
 
 
-def check_f_relation(B: ExchangeMatrix, r, word, mode: str = "auto",
-                     endpoint_limit: int = 2_000_000) -> CheckReport:
+# Largest estimated endpoint product, in terms, that check_f_relation expands
+# in its auto mode.
+_ENDPOINT_LIMIT = 2_000_000
+
+
+def check_f_relation(B: ExchangeMatrix, r, word, mode: str = "auto") -> CheckReport:
     """Products of per-slot polynomials at split arguments collapse to the coarse ones.
 
     Every transition along the word is verified in the stepwise form; the
     endpoint comparison (including the transposed variants) runs whenever
-    the estimated product size stays under `endpoint_limit`, or always with
+    the estimated product size stays under `_ENDPOINT_LIMIT`, or always with
     mode="endpoint", or never with mode="stepwise".
     """
     started = time.perf_counter()
@@ -467,7 +451,7 @@ def check_f_relation(B: ExchangeMatrix, r, word, mode: str = "auto",
     word = check_word(word, n)
     ge = GeneralizedInvariants(B, r)
     ce = CompositeInvariants(B, r)
-    table = _stepwise_table(n, r)
+    table = _stepwise_table(r)
     symbols = _relation_symbols(table, n, r)
     failures = []
     counter = [0]
@@ -485,7 +469,7 @@ def check_f_relation(B: ExchangeMatrix, r, word, mode: str = "auto",
                 b = abs(ce.B[j][offs[k - 1]])
                 if b:
                     step_cost *= max(len(ce.F[j]), 1) ** b
-            if mode == "stepwise" or step_cost > endpoint_limit:
+            if mode == "stepwise" or step_cost > _ENDPOINT_LIMIT:
                 ge.track_f = False
                 ce.track_f = False
         ge.step(k)
@@ -495,7 +479,7 @@ def check_f_relation(B: ExchangeMatrix, r, word, mode: str = "auto",
             _product_estimate([len(ce.F[offs[i] + l]) for l in range(r[i])])
             for i in range(n)
         )
-        if mode == "endpoint" or estimate <= endpoint_limit:
+        if mode == "endpoint" or estimate <= _ENDPOINT_LIMIT:
             _f_relation_endpoint(ge, ce, r, failures, counter)
     return _report("f-relation", word, failures, counter[0], started)
 
@@ -514,8 +498,7 @@ def check_f_symmetry(B: ExchangeMatrix, r, word) -> CheckReport:
     return _f_symmetry_from_engine(ce, word)
 
 
-def relation_suite(B: ExchangeMatrix, r, depth: int = 4,
-                   endpoint_limit: int = 2_000_000):
+def relation_suite(B: ExchangeMatrix, r, depth: int = 4):
     """All invariant-relation checks on every reduced word up to a depth.
 
     Each prefix is checked once. Only `f-symmetry` reads the chain's one
@@ -536,9 +519,7 @@ def relation_suite(B: ExchangeMatrix, r, depth: int = 4,
                 continue
             seen.add(prefix)
             reports.append(check_cg_relations(B, r, prefix))
-            reports.append(
-                check_f_relation(B, r, prefix, endpoint_limit=endpoint_limit)
-            )
+            reports.append(check_f_relation(B, r, prefix))
             reports.append(_f_symmetry_from_engine(fe, prefix))
     reports.sort(key=lambda rep: (rep.name, rep.word))
     return reports
@@ -696,21 +677,16 @@ def random_realization(rng: random.Random, nmax: int = 3, rmax: int = 3,
 def random_generalized_seed(rng: random.Random, nmax: int = 3, rmax: int = 3,
                             bmax: int = 2, kinds=("universal", "tropical", "trivial")):
     """Standalone random seed over its own small table, mixing semifield kinds."""
-    from .polyring import VariableTable as VT
-    from .semifield import GroupRingElement, SemifieldKind
-
     B, r = random_instance(rng, nmax, rmax, bmax)
     n = B.n
     kind_name = rng.choice(kinds)
     if kind_name == "universal":
-        gens = [f"y{i + 1}" for i in range(n)] + [
-            slot_name("z", i, l, n) for i in range(n) for l in range(r[i] - 1)
-        ]
+        gens = coefficient_names(r)
     elif kind_name == "tropical":
         gens = [f"u{i + 1}" for i in range(max(2, n))]
     else:
         gens = []
-    table = VT([f"x{i + 1}" for i in range(n)] + gens)
+    table = VariableTable([f"x{i + 1}" for i in range(n)] + gens)
 
     if kind_name == "universal":
         kind = SemifieldKind.universal(table, gens)
@@ -726,8 +702,6 @@ def random_generalized_seed(rng: random.Random, nmax: int = 3, rmax: int = 3,
     else:
         kind = SemifieldKind.trivial()
         y = tuple(SemifieldElement.one(kind) for _ in range(n))
-
-    from .pattern import ExchangePolynomial
 
     Z = []
     for i in range(n):

@@ -22,7 +22,7 @@ from gencluster.invariants import (
 from gencluster.pattern import ExchangeMatrix, pos, reduced_words, walk
 from gencluster.polyring import LaurentPolynomial
 from gencluster.semifield import sf_eq
-from gencluster.verify import random_instance, random_word
+from gencluster.verify import random_generalized_seed, random_instance, random_word
 
 
 B1 = ExchangeMatrix.from_rows([[0, -1], [1, 0]], (1, 1))
@@ -227,6 +227,20 @@ def test_separation_first_step_coefficient_case1():
     from gencluster.semifield import sf_mul
 
     assert sf_eq(ys[1], sf_mul(rz.g_seed.y[1], spec))
+
+
+def test_separation_matches_direct_over_tropical_and_trivial_seeds():
+    kinds = set()
+    for trial in range(30):
+        rng = random.Random(trial)
+        seed = random_generalized_seed(rng, kinds=("tropical", "trivial"))
+        kinds.add(seed.y[0].kind.kind)
+        word = random_word(rng, seed.n, 2)
+        end = walk(seed, word)
+        xs, ys = separation_reconstruct_generalized(seed, word)
+        assert all(a == b for a, b in zip(xs, end.x)), (trial, word)
+        assert all(sf_eq(a, b) for a, b in zip(ys, end.y)), (trial, word)
+    assert kinds == {"tropical", "trivial"}
 
 
 @pytest.mark.parametrize("case", [1, 2])

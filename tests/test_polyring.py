@@ -139,6 +139,19 @@ def test_exact_division_detects_failure(xy):
     assert (x * x + one).exact_div(x + one) is None
 
 
+def test_exact_quotient_larger_than_its_dividend(xy):
+    # (1 - x^1502) / (1 - x) has 1,502 terms against the dividend's 2; the
+    # quotient is bounded by its exponent box, not by the dividend's size
+    one = LaurentPolynomial.one(xy)
+    x = LaurentPolynomial.variable(xy, "x")
+    y = LaurentPolynomial.variable(xy, "y")
+    q = (one - x ** 1502).exact_div(one - x)
+    assert q is not None and len(q) == 1502
+    assert q * (one - x) == one - x ** 1502
+    # a divisor wider than the dividend in y has no exact quotient
+    assert (one - x ** 1502).exact_div(one - x * y) is None
+
+
 def test_block_symmetric_examples():
     table = VariableTable(["s11", "s12", "y"])
     block = [0, 1]

@@ -21,6 +21,7 @@ from gencluster.semifield import (
     SemifieldKind,
     SemifieldMismatchError,
     evaluate_poly_semifield,
+    iterated_oplus,
     project_np,
     psi,
     sf_add,
@@ -234,6 +235,59 @@ def test_evaluate_poly_semifield_tropical(trop):
         LaurentPolynomial.variable(table, "a"), {0: P0_ZERO, 1: P0_ZERO}, trop
     )
     assert dead is P0_ZERO
+
+
+def _term_by_term(poly, assign, kind):
+    """evaluate_poly_semifield's sum, one semifield addition per term."""
+    acc = None
+    for powers, c in poly.sparse_terms():
+        if any(assign[i] is P0_ZERO for i, _ in powers):
+            continue
+        value = SemifieldElement.one(kind)
+        for i, e in powers:
+            value = sf_mul(value, sf_pow(assign[i], e))
+        value = iterated_oplus(c, value)
+        acc = value if acc is None else sf_add(acc, value)
+    return P0_ZERO if acc is None else acc
+
+
+def test_evaluate_poly_semifield_universal_matches_term_by_term(univ):
+    table = VariableTable(["a", "b", "c"])
+    one = SemifieldElement.one(univ)
+    y = SemifieldElement.generator(univ, "y")
+    z = SemifieldElement.generator(univ, "z")
+    values = [y, z, sf_add(y, z), sf_mul(y, sf_inv(sf_add(one, z))), P0_ZERO]
+    rng = random.Random(5)
+    for _ in range(40):
+        poly = LaurentPolynomial.zero(table)
+        for _ in range(rng.randint(1, 5)):
+            mono = {v: rng.randint(-2, 3) for v in ("a", "b", "c")}
+            poly = poly + LaurentPolynomial.monomial(table, mono, rng.randint(1, 3))
+        assign = {i: rng.choice(values) for i in range(3)}
+        if any(
+            assign[i] is P0_ZERO and e < 0
+            for powers, _ in poly.sparse_terms()
+            for i, e in powers
+        ):
+            continue
+        got = evaluate_poly_semifield(poly, assign, univ)
+        want = _term_by_term(poly, assign, univ)
+        if want is P0_ZERO:
+            assert got is P0_ZERO
+        else:
+            assert sf_eq(got, want)
+    a, c = LaurentPolynomial.variable(table, "a"), LaurentPolynomial.variable(table, "c")
+    unit = LaurentPolynomial.one(table)
+    assign = {0: values[3], 1: y, 2: P0_ZERO}
+    # the zero marker drops the terms it divides
+    got = evaluate_poly_semifield(unit + a.scale(2) + a * c + c * c, assign, univ)
+    assert sf_eq(got, sf_add(one, iterated_oplus(2, values[3])))
+    # a sum whose every term dies is the zero marker
+    assert evaluate_poly_semifield(a * c + (c * c).scale(3), assign, univ) is P0_ZERO
+    with pytest.raises(ZeroDivisionError):
+        evaluate_poly_semifield(unit + LaurentPolynomial.monomial(table, {"a": 1, "c": -1}), assign, univ)
+    with pytest.raises(ValueError, match="not in NP"):
+        evaluate_poly_semifield(unit - a, assign, univ)
 
 
 def _psi_setup():

@@ -4,6 +4,7 @@ import pytest
 
 from gencluster import polyring
 from gencluster.cases import case_realization
+from gencluster.invariants import CompositeInvariants
 from gencluster.pattern import ExchangeMatrix, reduced_words
 from gencluster.verify import (
     CheckReport,
@@ -247,3 +248,31 @@ def test_suites_small_runs():
     seeds = [(realizations[0].g_seed, 4), (realizations[1].g_seed, 3)]
     trials, failures = suite_laurent_positive(rng, 6, seeds)
     assert trials == 6 and not failures
+
+
+def test_cg_relations_report_both_families(monkeypatch):
+    # +1 -1 / -1 +1 on a 2 x 2 corner of block (1,1) keeps every sum and
+    # breaks only the constant shifted entries, once in C and once in G
+    rz = case_realization(2)
+    B, r = rz.g_seed.B, rz.r
+    clean = check_cg_relations(B, r, (1, 2))
+    walk = CompositeInvariants.walk
+
+    def perturbed(self, word):
+        out = walk(self, word)
+        for M in (self.C, self.G):
+            M[0][0] += 1
+            M[0][1] -= 1
+            M[1][0] -= 1
+            M[1][1] += 1
+        return out
+
+    monkeypatch.setattr(CompositeInvariants, "walk", perturbed)
+    report = check_cg_relations(B, r, (1, 2))
+    assert clean.passed and clean.tested == 56
+    assert not report.passed
+    witnesses = report.witness.split("; ")
+    assert any(w.startswith("C ") for w in witnesses)
+    assert any(w.startswith("G ") for w in witnesses)
+    # each broken block skips its shifted-form equality
+    assert report.tested == 54
