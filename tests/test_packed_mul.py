@@ -232,3 +232,19 @@ def test_case2_f1_squared_takes_the_packed_path(monkeypatch):
     square = f1 * f1
     assert calls == [True]
     assert square._d == _mul_school(f1._d, f1._d, f1._lay)
+
+
+def test_common_stride_shortens_the_slots():
+    t = table()
+    # x-exponents step by 3 inside every group, from a different residue in
+    # each group; the slots then hold x^3 steps
+    a = poly(t, {(3 * e + y, y, z): (e + 1) * (-1) ** (y + z)
+                 for e in range(-4, 12) for y in range(3) for z in range(2)})
+    b = poly(t, {(3 * e - y, y, 0): 2 * e + 1 for e in range(-2, 9) for y in range(3)})
+    lay = polyring._pair(a, b)
+    shift = lay.shifts[0]
+    _, _, step = polyring._pack_pair(a._d, b._d, ~(lay.mask << shift), shift, 8)
+    assert step == 3 << shift
+    assert polyring._dense_field(a._d, b._d, lay) == shift
+    packed(a, b)
+    assert sympy_product(a, b) == dict((a * b).terms)
