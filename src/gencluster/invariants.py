@@ -300,7 +300,7 @@ def _separate(seed0: GeneralizedSeed, eng: _InvariantWalk):
             if g:
                 v = v * seed0.x[j] ** g
         v = v * FactoredFraction.from_ratfn(cross_evaluate(eng.F[i], ring_assign, table))
-        v = v * FactoredFraction.from_ratfn(fden[i].as_ratfn(table)).inverse()
+        v = v / fden[i].as_factored(table)
         xs.append(v.expand())
 
     ys = []

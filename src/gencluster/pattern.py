@@ -137,22 +137,26 @@ def find_symmetrizer(rows) -> tuple:
                     stack.append(j)
                 elif d[j] != ratio:
                     raise NotSkewSymmetrizableError("not skew-symmetrizable")
-        denoms = lcm(*(d[i].denominator for i in component)) if component else 1
-        nums = 0
+        denoms = lcm(*(d[i].denominator for i in component))
+        nums = gcd(*((d[i] * denoms).numerator for i in component))
         for i in component:
-            nums = gcd(nums, (d[i] * denoms).numerator)
-        for i in component:
-            d[i] = Fraction((d[i] * denoms) / nums)
+            d[i] = (d[i] * denoms).numerator // nums
+    _check_skew(rows, d)
+    return tuple(d)
+
+
+def _check_skew(rows, d) -> None:
+    """Raise unless D*B is skew-symmetric for the integer diagonal d."""
+    n = len(rows)
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             if d[i] * rows[i][j] != -d[j] * rows[j][i]:
                 raise NotSkewSymmetrizableError("not skew-symmetrizable")
-    return tuple(d)
 
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """Integer exchange matrix together with an optional skew-symmetrizer."""
+    """Integer exchange matrix together with an optional integer skew-symmetrizer."""
 
     rows: tuple
     d: tuple = None
@@ -165,13 +169,10 @@ class ExchangeMatrix:
             if len(row) != n:
                 raise ValueError("exchange matrix must be square")
         if d is not None:
-            d = tuple(Fraction(v) for v in d)
-            if len(d) != n or any(v <= 0 for v in d):
-                raise ValueError("symmetrizer must be positive of matching size")
-            for i in range(n):
-                for j in range(n):
-                    if d[i] * rows[i][j] != -d[j] * rows[j][i]:
-                        raise NotSkewSymmetrizableError("not skew-symmetrizable")
+            if len(d) != n or any(v != int(v) or v <= 0 for v in d):
+                raise ValueError("symmetrizer must be positive integers of matching size")
+            d = tuple(int(v) for v in d)
+            _check_skew(rows, d)
         return cls(rows, d)
 
     @property
@@ -251,8 +252,6 @@ def validate_seed(seed: GeneralizedSeed) -> None:
     for Zi, ri in zip(seed.Z, seed.r):
         if Zi.degree != ri:
             raise ValueError("degree mismatch")
-        if not (Zi.coeffs[0].is_one() and Zi.coeffs[-1].is_one()):
-            raise ValueError("non-monic exchange polynomial")
     seed.B.symmetrizer()
     kind = seed.y[0].kind
     for yi in seed.y:

@@ -482,6 +482,10 @@ class LaurentPolynomial:
         quotient key. A term cap stops what the bound cannot: once the
         quotient outgrows the dividend, the division fails when it has more
         terms than fit in the box of exponents an exact quotient spans.
+        A key that leaves its bit field widens the table and reruns the
+        division, unless that box fits the current fields: an exact
+        division never leaves them then, so the heap division answers
+        "not divisible" at once (`_out_of_field`).
         """
         _check_table(self, divisor)
         if divisor.is_zero():
@@ -517,24 +521,18 @@ class LaurentPolynomial:
                 return _poly(table, lay, out)
             table.widen()
 
-    def transplant(self, target: VariableTable, name_map=None):
+    def transplant(self, target: VariableTable):
         """Re-express this polynomial on another table.
 
-        Variables are matched by name (or through `name_map`), and must all
-        exist in the target table.
+        Variables are matched by name, and must all exist in the target
+        table.
         """
-        src_names = self.table.names
-        idx_map = {}
-        for i in range(len(src_names)):
-            name = src_names[i]
-            if name_map and name in name_map:
-                name = name_map[name]
-            idx_map[i] = target.index(name)
+        names = self.table.names
         width = len(target)
         moves = []
         for i in sorted(self.support_vars()):
             unit = [0] * width
-            unit[idx_map[i]] = 1
+            unit[target.index(names[i])] = 1
             moves.append((i, unit))
         while True:
             src = _sync(self)
@@ -1018,7 +1016,7 @@ def _div_terms(a: dict, b: dict, lay: KeyLayout):
         if mono > top:
             return None
         if mono & guard:
-            raise _FieldOverflow
+            return _out_of_field(a, b, lay)
         out[mono] = q
         if len(out) > cap:
             if boxed:
@@ -1033,7 +1031,7 @@ def _div_terms(a: dict, b: dict, lay: KeyLayout):
             old = get(key)
             if old is None:
                 if key & guard:
-                    raise _FieldOverflow
+                    return _out_of_field(a, b, lay)
                 work[key] = -q * c
                 heappush(heap, key)
             else:
@@ -1043,6 +1041,27 @@ def _div_terms(a: dict, b: dict, lay: KeyLayout):
                 else:
                     del work[key]
     return out
+
+
+def _out_of_field(a: dict, b: dict, lay: KeyLayout):
+    """The heap division reached a key outside the fields of `lay`.
+
+    Returns None, "not divisible", when the box of an exact quotient fits
+    the fields: per variable its exponents lie in [min a - min b,
+    max a - max b], and every work term on the way to it in
+    [min a, max a], which the dividend's fields hold. An exact division
+    then never leaves the fields, so this one is not exact; widening would
+    only let its would-be quotient series run on under a larger box with
+    ever longer coefficients. Otherwise raises _FieldOverflow, and the
+    table widens.
+    """
+    mask, bias = lay.mask, lay.bias
+    for s in lay.shifts:
+        fa = [(k >> s) & mask for k in a]
+        fb = [(k >> s) & mask for k in b]
+        if min(fa) - min(fb) < -bias or max(fa) - max(fb) >= bias:
+            raise _FieldOverflow
+    return None
 
 
 def _quotient_box(a: dict, b: dict, lay: KeyLayout) -> int:

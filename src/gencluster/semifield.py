@@ -1,14 +1,16 @@
 """Coefficient semifields: trivial, tropical (min convention), universal.
 
 A semifield value is immutable. Tropical elements are integer exponent
-vectors over a fixed generator list, added by componentwise minimum;
-universal elements are subtraction-free rational functions supported on
-designated generator variables of a shared table; the trivial semifield
-has the single element 1. The module also provides the group-ring
-fragment used for exchange-polynomial coefficients (finite nonnegative
-integer combinations of semifield values), its projection onto the
-semifield-with-zero, and the specialization of an exchange polynomial at
-a semifield point.
+vectors over a fixed generator list, added by componentwise minimum.
+Universal elements are subtraction-free rational functions supported on
+designated generator variables of a shared table; each is stored in one
+form, a `FactoredFraction`, so products, powers and inverses merge
+factor exponents and nothing is multiplied out until a caller asks for
+`as_ratfn`. The trivial semifield has the single element 1. The module
+also provides the group-ring fragment used for exchange-polynomial
+coefficients (finite nonnegative integer combinations of semifield
+values), its projection onto the semifield-with-zero, and the
+specialization of an exchange polynomial at a semifield point.
 """
 
 from __future__ import annotations
@@ -27,18 +29,6 @@ from .polyring import (
     ff_eq,
     psi_hat_factored,
 )
-
-
-def _as_factored(payload) -> FactoredFraction:
-    if isinstance(payload, FactoredFraction):
-        return payload
-    return FactoredFraction.from_ratfn(payload)
-
-
-def _as_ratfn_payload(payload) -> RationalFunction:
-    if isinstance(payload, FactoredFraction):
-        return payload.expand()
-    return payload
 
 
 class SemifieldMismatchError(ValueError):
@@ -130,7 +120,7 @@ class SemifieldElement:
             return cls(kind, None)
         if kind.kind == TROPICAL:
             return cls(kind, (0,) * len(kind.generators))
-        return cls(kind, RationalFunction.one(kind.table))
+        return cls(kind, FactoredFraction.one(kind.table))
 
     @classmethod
     def tropical(cls, kind: SemifieldKind, exponents):
@@ -162,7 +152,7 @@ class SemifieldElement:
         allowed = set(kind.gen_idx)
         if not (value.num.support_vars() <= allowed and value.den.support_vars() <= allowed):
             raise ValueError("universal element mentions a non-generator variable")
-        return cls(kind, value)
+        return cls(kind, FactoredFraction.from_ratfn(value))
 
     @classmethod
     def generator(cls, kind: SemifieldKind, name: str, power: int = 1):
@@ -187,13 +177,13 @@ class SemifieldElement:
             return RationalFunction.monomial(table, powers)
         if self.payload.table is not table:
             raise SemifieldMismatchError("semifield mismatch")
-        return _as_ratfn_payload(self.payload)
+        return self.payload.expand()
 
     def as_factored(self, table: VariableTable) -> FactoredFraction:
         if self.kind.kind == UNIVERSAL:
             if self.payload.table is not table:
                 raise SemifieldMismatchError("semifield mismatch")
-            return _as_factored(self.payload)
+            return self.payload
         return FactoredFraction.from_ratfn(self.as_ratfn(table))
 
     def render(self) -> str:
@@ -225,7 +215,7 @@ def sf_eq(a: SemifieldElement, b: SemifieldElement) -> bool:
         return True
     if a.kind.kind == TROPICAL:
         return a.payload == b.payload
-    return ff_eq(_as_factored(a.payload), _as_factored(b.payload))
+    return ff_eq(a.payload, b.payload)
 
 
 def sf_add(a: SemifieldElement, b: SemifieldElement) -> SemifieldElement:
@@ -236,7 +226,7 @@ def sf_add(a: SemifieldElement, b: SemifieldElement) -> SemifieldElement:
         return a
     if k == TROPICAL:
         return SemifieldElement(a.kind, tuple(map(min, a.payload, b.payload)))
-    return SemifieldElement(a.kind, ff_add(_as_factored(a.payload), _as_factored(b.payload)))
+    return SemifieldElement(a.kind, ff_add(a.payload, b.payload))
 
 
 def sf_mul(a: SemifieldElement, b: SemifieldElement) -> SemifieldElement:
@@ -246,7 +236,7 @@ def sf_mul(a: SemifieldElement, b: SemifieldElement) -> SemifieldElement:
         return a
     if k == TROPICAL:
         return SemifieldElement(a.kind, tuple(x + y for x, y in zip(a.payload, b.payload)))
-    return SemifieldElement(a.kind, _as_factored(a.payload) * _as_factored(b.payload))
+    return SemifieldElement(a.kind, a.payload * b.payload)
 
 
 def sf_inv(a: SemifieldElement) -> SemifieldElement:
@@ -255,7 +245,7 @@ def sf_inv(a: SemifieldElement) -> SemifieldElement:
         return a
     if k == TROPICAL:
         return SemifieldElement(a.kind, tuple(-e for e in a.payload))
-    return SemifieldElement(a.kind, _as_factored(a.payload).inverse())
+    return SemifieldElement(a.kind, a.payload.inverse())
 
 
 def sf_pow(a: SemifieldElement, n: int) -> SemifieldElement:
@@ -264,7 +254,7 @@ def sf_pow(a: SemifieldElement, n: int) -> SemifieldElement:
         return a
     if k == TROPICAL:
         return SemifieldElement(a.kind, tuple(n * e for e in a.payload))
-    return SemifieldElement(a.kind, _as_factored(a.payload) ** n)
+    return SemifieldElement(a.kind, a.payload ** n)
 
 
 def iterated_oplus(count: int, p: SemifieldElement) -> SemifieldElement:
@@ -273,7 +263,7 @@ def iterated_oplus(count: int, p: SemifieldElement) -> SemifieldElement:
         raise ValueError("iterated sum needs a positive count")
     k = p.kind.kind
     if k == UNIVERSAL:
-        scaled = _as_factored(p.payload) * FactoredFraction.from_poly(
+        scaled = p.payload * FactoredFraction.from_poly(
             LaurentPolynomial.constant(p.kind.table, count)
         )
         return SemifieldElement(p.kind, scaled)
@@ -454,7 +444,9 @@ def evaluate_poly_semifield(poly: LaurentPolynomial, assign: dict, kind: Semifie
             for i in support
         }
         total = cross_evaluate(poly, values, table)
-        return P0_ZERO if total.is_zero() else SemifieldElement(kind, total)
+        if total.is_zero():
+            return P0_ZERO
+        return SemifieldElement(kind, FactoredFraction.from_ratfn(total))
     acc = None
     for powers, c in poly.sparse_terms():
         value = None
@@ -482,14 +474,14 @@ def psi(element: SemifieldElement, symbols: ElementarySymbols,
     """Semifield-level elimination of the splitting variables.
 
     The element must be universal over the extended generator set. Its
-    payload, as a factored fraction, goes through `psi_hat_factored` with
+    factored payload goes through `psi_hat_factored` with
     the nonnegativity domain condition certified at every size (or
     PsiConeError), and the image is projected back into the base
     semifield.
     """
     if element.kind.kind != UNIVERSAL:
         raise SemifieldMismatchError("semifield mismatch")
-    image = psi_hat_factored(_as_factored(element.payload), symbols, require_nonneg=True)
+    image = psi_hat_factored(element.payload, symbols, require_nonneg=True)
     if base_kind.kind == UNIVERSAL:
         return SemifieldElement(base_kind, image)
     if base_kind.kind == TROPICAL:

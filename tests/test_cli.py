@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -60,6 +61,35 @@ def test_mutate_single_step_values(capsys):
     out = capsys.readouterr().out
     assert "y[1] = y1^-1" in out
     assert "B = [[0,1],[-1,0]]" in out
+
+
+def _tropical_document(tmp_path):
+    """Case 2 over the tropical semifield, with a two-term middle coefficient."""
+    doc = case_document(2)
+    doc["semifield"]["kind"] = "tropical"
+    doc["y"] = [{"y1": 1, "y2": -1}, {"y2": 2}]
+    doc["Z"][0][1] = [
+        {"multiplicity": 2, "monomial": {"z11": 1}},
+        {"multiplicity": 1, "monomial": {"y1": -1}},
+    ]
+    path = tmp_path / "tropical.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("seed, digest", [
+    ("case1", "be857aff401f79497e73c5584fdb6ca6bb420c52b6c96a84d5fdb566535791bf"),
+    ("case2", "1698f8d89551928b2a19e7d83de82aa933b5014faaa8d9ae76cd833cece47ea3"),
+    ("tropical", "ec0565996afac1acb2bf5cd4919fb4462d8a806c09dd5314ad7f1614490350ed"),
+])
+def test_mutate_output_is_pinned(capsys, tmp_path, seed, digest):
+    # sha256 of the whole default output of `mutate --word 1,2,1`
+    if seed == "tropical":
+        seed = _tropical_document(tmp_path)
+    assert main(["mutate", "--seed", seed, "--word", "1,2,1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 def test_mutate_rejects_non_reduced_word(capsys):

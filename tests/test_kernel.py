@@ -6,10 +6,15 @@ Exponents at and beyond the field bound of a new table check that an
 overflowing key is detected and re-encoded wider, never silently wrong.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from gencluster import polyring
 from gencluster.polyring import (
     ElementarySymbols,
     FactoredFraction,
@@ -141,6 +146,31 @@ def test_exact_div_failure():
         bumped = a * b + LaurentPolynomial.monomial(table, {"v0": 9, "v1": -9})
         q = bumped.exact_div(b)
         assert q is None or q * b == bumped
+
+
+def test_inexact_division_inside_the_fields_fails_without_widening():
+    # The heap's would-be quotient 1 + 2*v5 + 4*v5^2 + ... leaves its field
+    # at v5^(2^14). An exact quotient would lie in [0, 12]^4 x [0, 11], so
+    # the division fails there; widening would let the series run on, with
+    # ever longer coefficients, until memory runs out.
+    script = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        sys.path.insert(0, sys.argv[1])
+        from gencluster.polyring import LaurentPolynomial, VariableTable
+        table = VariableTable([f"v{i}" for i in range(1, 6)])
+        bits = table.layout.bits
+        one = LaurentPolynomial.one(table)
+        a = one + LaurentPolynomial.monomial(table, {f"v{i}": 12 for i in range(1, 6)})
+        b = one - LaurentPolynomial.variable(table, "v5").scale(2)
+        print(a.exact_div(b) is None, table.layout.bits == bits)
+    """)
+    src = os.path.dirname(os.path.dirname(polyring.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", script, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.split() == ["True", "True"]
 
 
 # -- field bounds -----------------------------------------------------------------

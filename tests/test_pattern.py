@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -45,7 +46,21 @@ def test_validate_rejects_symmetric_matrix():
 def test_symmetrizer_for_case2_matrix():
     B = ExchangeMatrix.from_rows([[0, 1], [-2, 0]])
     assert B.symmetrizer() == (2, 1)
-    ExchangeMatrix.from_rows([[0, 1], [-2, 0]], [2, 1])
+    given = ExchangeMatrix.from_rows([[0, 1], [-2, 0]], [2, 1])
+    for d in (B.symmetrizer(), given.symmetrizer()):
+        assert all(type(v) is int for v in d)
+
+
+def test_symmetrizer_of_a_chain_is_the_smallest_integer_one():
+    d = ExchangeMatrix.from_rows([[0, 1, 0], [-2, 0, 1], [0, -3, 0]]).symmetrizer()
+    assert d == (6, 3, 1)
+    assert all(type(v) is int for v in d)
+
+
+def test_from_rows_rejects_a_rational_symmetrizer():
+    # diag(1/2, 1) would make D*B skew-symmetric here
+    with pytest.raises(ValueError, match="positive integers"):
+        ExchangeMatrix.from_rows([[0, 2], [-1, 0]], [Fraction(1, 2), 1])
 
 
 def test_mutate_B_rank2_negates():

@@ -74,6 +74,33 @@ def test_universal_addition_and_inverse(univ):
     assert sf_eq(sf_mul(one_zy, sf_inv(one_zy)), SemifieldElement.one(univ))
 
 
+def test_universal_payload_is_always_factored(univ):
+    table = univ.table
+    y = SemifieldElement.generator(univ, "y")
+    z = SemifieldElement.generator(univ, "z")
+    yp, zp = LaurentPolynomial.variable(table, "y"), LaurentPolynomial.variable(table, "z")
+    ring = GroupRingElement.from_terms(univ, [(2, y), (1, z)])
+    unit = GroupRingElement.one(univ)
+    ab = VariableTable(["a", "b"])
+    poly = LaurentPolynomial.one(ab) + LaurentPolynomial.monomial(ab, {"a": 2, "b": -1}, 3)
+    made = {
+        "one": SemifieldElement.one(univ),
+        "generator": y,
+        "universal": SemifieldElement.universal(univ, RationalFunction(yp + zp, yp)),
+        "sf_add": sf_add(y, z),
+        "sf_mul": sf_mul(y, z),
+        "sf_inv": sf_inv(y),
+        "sf_pow": sf_pow(sf_add(y, z), -2),
+        "iterated_oplus": iterated_oplus(3, y),
+        "project_np": project_np(ring),
+        "specialize_Z": specialize_Z([unit, ring, unit], y),
+        "evaluate_poly_semifield": evaluate_poly_semifield(poly, {0: y, 1: z}, univ),
+    }
+    for name, value in made.items():
+        assert isinstance(value.payload, FactoredFraction), name
+        assert value.as_factored(table) is value.payload, name
+
+
 def test_kind_mismatch_raises(trop, univ):
     with pytest.raises(SemifieldMismatchError, match="semifield mismatch"):
         sf_add(SemifieldElement.one(trop), SemifieldElement.one(univ))
@@ -319,6 +346,7 @@ def test_psi_split_specialization_factors():
         sf_add(one, sf_mul(SemifieldElement.generator(ext, "s12"), y)),
     )
     image = psi(lhs, symbols, base)
+    assert isinstance(image.payload, FactoredFraction)
     z = SemifieldElement.generator(base, "z")
     want = sf_add(
         sf_add(SemifieldElement.one(base), sf_mul(z, SemifieldElement.generator(base, "y"))),
