@@ -120,15 +120,6 @@ class _InvariantWalk:
             if new_Ff is None:
                 raise ArithmeticError("polynomial recursion step is not exactly divisible")
 
-        newC = [row[:] for row in C]
-        for i in range(n):
-            for j in range(n):
-                if j == f:
-                    newC[i][j] = -C[i][f]
-                else:
-                    newC[i][j] = C[i][j] + rf * (
-                        C[i][f] * pos(B[f][j]) + pos(-C[i][f]) * B[f][j]
-                    )
         newG = [row[:] for row in G]
         for i in range(n):
             acc = -G[i][f]
@@ -136,11 +127,13 @@ class _InvariantWalk:
                 acc += rf * (G[i][a] * pos(-B[a][f]) - self.B0[i][a] * pos(-C[a][f]))
             newG[i][f] = acc
 
+        # C is the lower half of the extended exchange matrix [B; C]
+        BC = mutate_B(ExchangeMatrix(tuple(B) + tuple(C)), self.degrees, f + 1).rows
         if self.track_f:
             self.F[f] = new_Ff
-        self.C = newC
+        self.B = BC[:n]
+        self.C = [list(row) for row in BC[n:]]
         self.G = newG
-        self.B = mutate_B(ExchangeMatrix(self.B), self.degrees, f + 1).rows
 
     def walk(self, word):
         for k in check_word(word, len(self.r)):

@@ -17,7 +17,6 @@ from math import gcd, lcm
 from .polyring import (
     FactoredFraction,
     LaurentPolynomial,
-    RationalFunction,
     VariableTable,
 )
 from .semifield import (
@@ -203,15 +202,21 @@ def render_matrix(rows) -> str:
 
 
 def mutate_B(B: ExchangeMatrix, r, k: int) -> ExchangeMatrix:
-    """Matrix mutation in direction k (1-based) with per-direction degrees."""
-    n = B.n
+    """Matrix mutation in direction k (1-based) with per-direction degrees.
+
+    `B` may be an extended matrix: m >= n rows over n columns, the
+    exchange matrix on top and further rows, such as a C-matrix, below.
+    Every row mutates by the same rule, which reads only row k of the
+    top block (Fomin-Zelevinsky, Cluster algebras IV).
+    """
+    rows = B.rows
+    n = len(rows[0])
     if not 1 <= k <= n:
         raise IndexError("direction out of range")
     k0 = k - 1
     rk = r[k0]
-    rows = B.rows
     out = []
-    for i in range(n):
+    for i in range(len(rows)):
         new_row = []
         for j in range(n):
             if i == k0 or j == k0:
@@ -327,8 +332,14 @@ def _mutated_variable(seed: GeneralizedSeed, k0: int, rk: int,
                       Zk: ExchangePolynomial, spec) -> FactoredFraction:
     """New cluster variable in direction k, in factored form.
 
-    Only the exchange-sum numerator is ever multiplied out; all remaining
-    structure (the old variable, the monomial multiplier, the hat-variable
+    With each exchange coefficient c_l = n_l / d_l (d_l = 1 for a Laurent
+    coefficient) and the hat-variable A / Bq, the exchange sum is
+
+        sum_l c_l (A / Bq)^l
+            = sum_l n_l prod_{m != l} d_m A^l Bq^(rk - l) / (prod_l d_l Bq^rk).
+
+    Only that numerator is ever multiplied out; all remaining structure
+    (the old variable, the monomial multiplier, each d_l, the hat-variable
     denominator and the specialization) stays factored, so anything a later
     mutation divides away again cancels by exponent arithmetic.
     """
@@ -340,48 +351,34 @@ def _mutated_variable(seed: GeneralizedSeed, k0: int, rk: int,
         if e:
             mult = mult * seed.x[j] ** e
 
-    spec_ff = spec.as_factored(table)
     coeff_rfs = [None if c.is_zero() else c.as_ratfn(table) for c in Zk.coeffs]
-
-    if all(c is None or c.den.is_one() for c in coeff_rfs):
-        A, Bq = hat.expand_parts()
-        a_pows = [LaurentPolynomial.one(table)]
-        b_pows = [LaurentPolynomial.one(table)]
-        for _ in range(rk):
-            a_pows.append(a_pows[-1] * A)
-            b_pows.append(b_pows[-1] * Bq)
-        znum = LaurentPolynomial.zero(table)
-        for l, c in enumerate(coeff_rfs):
-            if c is None:
-                continue
-            term = a_pows[l] * b_pows[rk - l]
-            if not c.num.is_one():
-                term = term * c.num
-            znum = znum + term
-        return (
-            seed.x[k0].inverse()
-            * mult ** rk
-            * FactoredFraction.from_poly(znum)
-            * hat.negative_part() ** -rk
-            * spec_ff.inverse()
-        )
-
-    # coefficients with genuine denominators: plain rational fallback
-    hat_rf = hat.expand()
-    total = RationalFunction.zero(table)
-    hat_pow = RationalFunction.one(table)
+    dens = {l: c.den for l, c in enumerate(coeff_rfs) if c is not None and not c.den.is_one()}
+    A, Bq = hat.expand_parts()
+    a_pows = [LaurentPolynomial.one(table)]
+    b_pows = [LaurentPolynomial.one(table)]
+    for _ in range(rk):
+        a_pows.append(a_pows[-1] * A)
+        b_pows.append(b_pows[-1] * Bq)
+    znum = LaurentPolynomial.zero(table)
     for l, c in enumerate(coeff_rfs):
-        if l:
-            hat_pow = hat_pow * hat_rf
         if c is None:
             continue
-        total = total + c * hat_pow
-    return (
+        term = a_pows[l] * b_pows[rk - l]
+        # a product by 1 would still pass over every term of the other side
+        for factor in [c.num, *(d for m, d in dens.items() if m != l)]:
+            if not factor.is_one():
+                term = term * factor
+        znum = znum + term
+    out = (
         seed.x[k0].inverse()
         * mult ** rk
-        * FactoredFraction.from_ratfn(total)
-        * spec_ff.inverse()
+        * FactoredFraction.from_poly(znum)
+        * hat.negative_part() ** -rk
+        * spec.as_factored(table).inverse()
     )
+    for d in dens.values():
+        out = out * FactoredFraction.from_poly(d, -1)
+    return out
 
 
 def mutate_y_seed(seed: GeneralizedSeed, k: int) -> GeneralizedSeed:

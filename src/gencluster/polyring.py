@@ -545,28 +545,6 @@ class LaurentPolynomial:
             raise ValueError("transplant collapsed distinct monomials")
         return _poly(target, dst, out)
 
-    def evaluate(self, assign: dict) -> "RationalFunction":
-        """Substitute rational functions for variables.
-
-        `assign` maps variable indices to RationalFunction values on the
-        same table. Falls back to a fast exponent remap when every value is
-        a plain monomial with unit coefficients. Otherwise the terms that
-        share their exponents at the assigned variables are substituted
-        together, one product of powers per group.
-        """
-        if all(_as_unit_monomial(v) is not None for v in assign.values()):
-            mapping = {i: _as_unit_monomial(v) for i, v in assign.items()}
-            return RationalFunction.from_poly(self.substitute_monomials(mapping))
-        idx = sorted(assign)
-        total = RationalFunction.zero(self.table)
-        for exps, rest in split_terms(self, idx).items():
-            value = RationalFunction.from_poly(rest)
-            for i, e in zip(idx, exps):
-                if e:
-                    value = value * assign[i] ** e
-            total = total + value
-        return total
-
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
@@ -1533,6 +1511,10 @@ class FactoredFraction:
         return out
 
     def expand_parts(self, term_limit=None):
+        """Multiplied-out numerator and denominator, factor by factor.
+
+        Raises TermLimitError once either part exceeds `term_limit` terms.
+        """
         num = LaurentPolynomial.one(self.table)
         den = LaurentPolynomial.one(self.table)
         for p, e in self.factors.values():
@@ -1547,8 +1529,8 @@ class FactoredFraction:
                         raise TermLimitError(f"expansion exceeds {term_limit} terms")
         return num, den
 
-    def expand(self, term_limit=None) -> "RationalFunction":
-        num, den = self.expand_parts(term_limit)
+    def expand(self) -> "RationalFunction":
+        num, den = self.expand_parts()
         return RationalFunction(num, den)
 
     def __eq__(self, other):
@@ -1610,25 +1592,8 @@ def ff_eq(a: FactoredFraction, b: FactoredFraction, term_limit=None) -> bool:
                 del canon[key]
         else:
             canon[key] = (p, e)
-    num = LaurentPolynomial.monomial(
-        table,
-        {i: v for i, v in enumerate(mono) if v > 0},
-        coeff.numerator,
-    )
-    den = LaurentPolynomial.monomial(
-        table,
-        {i: -v for i, v in enumerate(mono) if v < 0},
-        coeff.denominator,
-    )
-    for p, e in canon.values():
-        for _ in range(abs(e)):
-            if e > 0:
-                num = num * p
-            else:
-                den = den * p
-            if term_limit is not None and max(len(num), len(den)) > term_limit:
-                raise TermLimitError(f"equality residual exceeds {term_limit} terms")
-    return num == den
+    num, den = FactoredFraction(table, canon).expand_parts(term_limit)
+    return num.shift(mono).scale(coeff.numerator) == den.scale(coeff.denominator)
 
 
 def ff_add(a: FactoredFraction, b: FactoredFraction) -> FactoredFraction:
@@ -1869,7 +1834,7 @@ def _part_image(p: LaurentPolynomial, symbols: ElementarySymbols,
     form = symmetric_e_form(p, symbols)
     if require_nonneg and any(c < 0 for c in form.coefficients()):
         raise PsiConeError("not in domain of psi_hat")
-    return form.evaluate(symbols.target_assignment())
+    return cross_evaluate(form, symbols.target_assignment(), form.table)
 
 
 def _orbit_e_form(poly: LaurentPolynomial, exp: int, remaining: dict,
@@ -1946,7 +1911,7 @@ def psi_hat_factored(ff: "FactoredFraction", symbols: ElementarySymbols,
             break
         for k in members:
             del remaining[k]
-        value = form.evaluate(assign)
+        value = cross_evaluate(form, assign, form.table)
         if value.is_zero():
             raise PsiKernelError(
                 "denominator in kernel of psi_hat"
@@ -1979,34 +1944,34 @@ def psi_hat(f: RationalFunction, symbols: ElementarySymbols,
 
 def cross_evaluate(poly: LaurentPolynomial, assign: dict,
                    target: VariableTable) -> "RationalFunction":
-    """Evaluate a polynomial into another table.
+    """Substitute rational functions for variables of a polynomial.
 
-    `assign` maps source variable indices to RationalFunction values on the
-    target table; every variable supported by the polynomial must be
-    assigned. Uses a plain exponent remap when all values are unit
-    monomials.
+    `assign` maps variable indices of poly's table to RationalFunction
+    values on `target`. When `target` is poly's own table, unassigned
+    variables stay; on another table, every variable the polynomial
+    supports must be assigned. When every value is a monomial with
+    coefficient 1 this is one exponent remap. Otherwise the terms that
+    share their exponents at the substituted variables are substituted
+    together, one product of powers per group.
     """
-    unit = {}
-    for idx, value in assign.items():
-        mono = _as_unit_monomial(value)
-        if mono is None:
-            unit = None
-            break
-        unit[idx] = mono
-    if unit is not None:
-        moves = [(i, unit[i]) for i in sorted(poly.support_vars())]
+    keep = target is poly.table
+    idx = sorted(i for i in poly.support_vars() if not keep or i in assign)
+    unit = {i: _as_unit_monomial(v) for i, v in assign.items()}
+    if None not in unit.values():
+        moves = [(i, unit[i]) for i in idx]
         target.make_room([t for _, mono in moves for t in mono])
         while True:
             src = _sync(poly)
             dst = target.layout
-            out = _remap_terms(poly._d, src, dst, moves, keep=False)
+            out = _remap_terms(poly._d, src, dst, moves, keep)
             if out is not None:
                 return RationalFunction.from_poly(_poly(target, dst, out))
             target.widen()
     total = RationalFunction.zero(target)
-    for powers, c in poly.sparse_terms():
-        value = RationalFunction.constant(target, c)
-        for i, e in powers:
-            value = value * assign[i] ** e
+    for exps, rest in split_terms(poly, idx).items():
+        value = RationalFunction.from_poly(rest if keep else rest.transplant(target))
+        for i, e in zip(idx, exps):
+            if e:
+                value = value * assign[i] ** e
         total = total + value
     return total

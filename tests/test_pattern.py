@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import gencluster
 from gencluster.composite import block_offsets, enlarge, read_block_matrix
 from gencluster.cases import case_realization
 from gencluster.pattern import (
@@ -22,8 +27,10 @@ from gencluster.polyring import (
     LaurentPolynomial,
     RationalFunction,
     VariableTable,
+    ff_eq,
 )
 from gencluster.semifield import (
+    GroupRingElement,
     SemifieldElement,
     SemifieldKind,
     sf_eq,
@@ -104,6 +111,31 @@ def test_mutate_B_involution():
         assert mutate_B(mutate_B(B, r, k), r, k).rows == B.rows
 
 
+def test_mutate_B_extended_matrix_mutates_the_lower_rows():
+    rng = random.Random(7)
+    from gencluster.verify import random_instance
+
+    for _ in range(50):
+        B, r = random_instance(rng)
+        n = B.n
+        C = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        k = rng.randint(1, n)
+        k0, rk = k - 1, r[k - 1]
+        BC = ExchangeMatrix(B.rows + tuple(map(tuple, C)))
+        out = mutate_B(BC, r, k).rows
+        assert out[:n] == mutate_B(B, r, k).rows
+        b = B.rows
+        for i, row in enumerate(C):
+            want = tuple(
+                -row[k0] if j == k0
+                else row[j] + rk * (row[k0] * max(b[k0][j], 0) + max(-row[k0], 0) * b[k0][j])
+                for j in range(n)
+            )
+            assert out[n + i] == want
+        with pytest.raises(IndexError):
+            mutate_B(BC, r, n + 1)
+
+
 def test_case1_first_mutation_values():
     rz = case_realization(1)
     table = rz.table
@@ -165,6 +197,97 @@ def test_degree_one_matches_ordinary_exchange():
     spec = seed.Z[0].specialize(seed.y[0])
     want_y2 = sf_mul(sf_mul(seed.y[1], seed.y[0]), sf_pow(spec, -1))
     assert sf_eq(out.y[1], want_y2)
+
+
+def non_laurent_seed():
+    """Rank 2, r = (2, 3), with exchange coefficients that are not Laurent.
+
+    Z1 = 1 + 2 z11/(1 + y1) u + u^2 and
+    Z2 = 1 + ((z21 + z22)/(1 + z22) + y2) u + z22^2/(1 + z21 y1) u^2 + u^3.
+    """
+    table = VariableTable(["x1", "x2", "y1", "y2", "z11", "z21", "z22"])
+    kind = SemifieldKind.universal(table, ["y1", "y2", "z11", "z21", "z22"])
+
+    def v(name, power=1):
+        return LaurentPolynomial.variable(table, name, power)
+
+    one = LaurentPolynomial.one(table)
+
+    def c(*terms):
+        return GroupRingElement.from_terms(
+            kind, [(m, SemifieldElement.universal(kind, RationalFunction(num, den)))
+                   for m, num, den in terms]
+        )
+
+    unit = GroupRingElement.one(kind)
+    Z1 = ExchangePolynomial((unit, c((2, v("z11"), one + v("y1"))), unit))
+    Z2 = ExchangePolynomial((
+        unit,
+        c((1, v("z21") + v("z22"), one + v("z22")), (1, v("y2"), one)),
+        c((1, v("z22", 2), one + v("z21") * v("y1"))),
+        unit,
+    ))
+    return GeneralizedSeed(
+        table=table,
+        n=2,
+        r=(2, 3),
+        x=(FactoredFraction.variable(table, "x1"), FactoredFraction.variable(table, "x2")),
+        y=(SemifieldElement.generator(kind, "y1"), SemifieldElement.generator(kind, "y2")),
+        Z=(Z1, Z2),
+        B=ExchangeMatrix.from_rows([[0, 1], [-2, 0]], [2, 1]),
+    )
+
+
+def _exchange_reference(seed, k0):
+    # x_k' = x_k^-1 prod_j x_j^(r_k [-b_jk]+) sum_l c_l yhat^l / Z_k|P(y_k),
+    # with yhat = y_k prod_j x_j^(b_jk), summed in RationalFunction arithmetic
+    table = seed.table
+    rk = seed.r[k0]
+    hat = seed.y[k0].as_ratfn(table)
+    mult = RationalFunction.one(table)
+    for j, row in enumerate(seed.B.rows):
+        xj = seed.x[j].expand()
+        hat = hat * xj ** row[k0]
+        mult = mult * xj ** (rk * max(-row[k0], 0))
+    total = RationalFunction.zero(table)
+    for l, c in enumerate(seed.Z[k0].coeffs):
+        if not c.is_zero():
+            total = total + c.as_ratfn(table) * hat ** l
+    spec = seed.Z[k0].specialize(seed.y[k0]).as_ratfn(table)
+    return total * mult / (seed.x[k0].expand() * spec)
+
+
+def test_non_laurent_coefficients_one_step_matches_the_exchange_sum():
+    seed = non_laurent_seed()
+    validate_seed(seed)
+    for k in (1, 2):
+        got = mutate_seed(seed, k).x[k - 1]
+        assert ff_eq(got, FactoredFraction.from_ratfn(_exchange_reference(seed, k - 1)))
+
+
+def test_non_laurent_coefficients_round_trip():
+    # A coefficient denominator folded into one unfactored fraction cannot
+    # cancel on the way back, and these walks then run for minutes and
+    # gigabytes.
+    script = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        sys.path[:0] = sys.argv[1:3]
+        from test_pattern import non_laurent_seed
+        from gencluster.pattern import walk
+        from gencluster.semifield import sf_eq
+        seed = non_laurent_seed()
+        for there, back in (((1, 2), (2, 1)), ((2, 1), (1, 2))):
+            end = walk(walk(seed, there), back)
+            print(all(a == b for a, b in zip(end.x, seed.x)),
+                  all(sf_eq(a, b) for a, b in zip(end.y, seed.y)))
+    """)
+    src = os.path.dirname(os.path.dirname(gencluster.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", script, src, os.path.dirname(__file__)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.split() == ["True"] * 4
 
 
 def test_walk_rejects_bad_words():

@@ -361,6 +361,16 @@ def test_cross_evaluate_monomial_and_general():
         one + a
     ) * a * a * RationalFunction.constant(dst, 3)
     assert general == expect
+    # on the polynomial's own table an unassigned variable stays
+    one = RationalFunction.one(src)
+    v = RationalFunction.variable(src, "v")
+    assert cross_evaluate(p, {0: v.inverse()}, src) == RationalFunction.from_poly(
+        P(src, [(1, {}), (2, {"v": -1}), (3, {"v": 1})])
+    )
+    expect = one + (one + v) * RationalFunction.constant(src, 2) + (
+        one + v
+    ) * v * v * RationalFunction.constant(src, 3)
+    assert cross_evaluate(p, {0: one + v}, src) == expect
 
 
 def laurent_expand(f: RationalFunction, main_idx):
