@@ -4,8 +4,8 @@ The enlargement inflates an n-by-n exchange matrix to pseudo-rank size
 with constant blocks; a composite seed is an ordinary seed of that rank
 whose directions are grouped into blocks, mutated one whole block at a
 time. The realization context wires a generalized seed and its composite
-counterpart onto one shared variable table, together with the elementary
-symbol substitution that maps one back onto the other.
+counterpart onto one shared variable table, together with the one
+elementary symbol substitution that maps one back onto the other.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .semifield import (
     SemifieldElement,
     SemifieldKind,
     project_np,
-    psi,
     sf_add,
     sf_inv,
     sf_mul,
@@ -351,6 +350,25 @@ def slot_names(prefix: str, r, interior: bool = False) -> list:
     return [slot_name(prefix, i, l, n) for i in range(n) for l in range(r[i] - interior)]
 
 
+def splitting_symbols(table: VariableTable, r, interior) -> ElementarySymbols:
+    """The symbol set that eliminates the s-slots of the degrees r.
+
+    Each block's e-symbols of degree 1..r_i - 1 go to `interior`, listed
+    in the flat order of `slot_names(prefix, r, interior=True)`; the top
+    symbol of every block goes to 1.
+    """
+    n = len(r)
+    interior = iter(interior)
+    blocks = []
+    for i in range(n):
+        blocks.append(SymbolBlock(
+            s_idx=tuple(table.index(slot_name("s", i, l, n)) for l in range(r[i])),
+            e_idx=tuple(table.index(slot_name("e", i, l, n)) for l in range(r[i])),
+            targets=tuple(next(interior) for _ in range(r[i] - 1)) + (RationalFunction.one(table),),
+        ))
+    return ElementarySymbols(table, tuple(blocks))
+
+
 def coefficient_names(r) -> list:
     """The generic coefficient generators y1..yn, then every z_il."""
     return [f"y{i + 1}" for i in range(len(r))] + slot_names("z", r, interior=True)
@@ -369,7 +387,12 @@ class RealizationLayout:
 
 @dataclass(frozen=True)
 class Realization:
-    """A generalized seed and its composite counterpart on one table."""
+    """A generalized seed and its composite counterpart on one table.
+
+    `symbols` sends block i's e-symbols to `project_np` of Z_i's interior
+    coefficients, which over a universal base are the group-ring sums
+    themselves: one symbol set serves `psi` and the ring-level map alike.
+    """
 
     table: VariableTable
     layout: RealizationLayout
@@ -377,8 +400,7 @@ class Realization:
     ext_kind: SemifieldKind
     g_seed: GeneralizedSeed
     c_seed: CompositeSeed
-    elem_ring: ElementarySymbols
-    elem_sf: ElementarySymbols
+    symbols: ElementarySymbols
 
     @property
     def n(self) -> int:
@@ -402,12 +424,12 @@ class Realization:
     def psi_hat_image(self, ff: FactoredFraction) -> FactoredFraction:
         """Eliminate splitting variables from a composite-side value.
 
+        Only defined over a universal base (see `check_x_realization`).
         Factors carrying composite cluster variables are ring-level objects
-        and substitute the group-ring exchange coefficients; factors free
-        of them are coefficient scalars of the extended semifield and go
-        through the semifield-level map, which then collapses into the
-        base semifield. The two routes agree over a universal base but
-        differ over a tropical one, where scalar sums collapse to minima.
+        and are mapped as they are; factors free of them are coefficient
+        scalars of the extended semifield, whose e-forms are certified to
+        stay in the cone, as `semifield.psi` requires. Both go through the
+        one symbol set.
         """
         x_vars = {idx for block in self.layout.cx for idx in block}
         ring_part = {}
@@ -418,17 +440,13 @@ class Realization:
             else:
                 scalar_part[key] = (p, e)
         image = psi_hat_factored(
-            FactoredFraction(self.table, ring_part), self.elem_ring
+            FactoredFraction(self.table, ring_part), self.symbols
         )
         if scalar_part:
-            scalar = psi(
-                SemifieldElement(
-                    self.ext_kind, FactoredFraction(self.table, scalar_part)
-                ),
-                self.elem_sf,
-                self.base_kind,
+            image = image * psi_hat_factored(
+                FactoredFraction(self.table, scalar_part), self.symbols,
+                require_nonneg=True,
             )
-            image = image * scalar.as_factored(self.table)
         return image
 
 
@@ -481,23 +499,17 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
 
     if kind == "universal":
         base_kind = SemifieldKind.universal(table, generators)
-    elif kind == "tropical":
-        base_kind = SemifieldKind.tropical(generators)
-    elif kind == "trivial":
-        base_kind = SemifieldKind.trivial()
     else:
-        raise ValueError(f"unknown semifield kind {kind!r}")
+        base_kind = SemifieldKind(kind, generators)
     ext_gen_names = tuple(generators) + tuple(s_names)
     ext_kind = SemifieldKind.universal(table, ext_gen_names)
 
     def base_element(mono: dict) -> SemifieldElement:
-        if base_kind.kind == "trivial":
-            return SemifieldElement.one(base_kind)
-        if base_kind.kind == "tropical":
-            return SemifieldElement.tropical(base_kind, mono)
-        return SemifieldElement.universal(
-            base_kind, RationalFunction.monomial(table, mono)
-        )
+        if base_kind.kind == "universal":
+            return SemifieldElement.universal(
+                base_kind, RationalFunction.monomial(table, mono)
+            )
+        return SemifieldElement.tropical(base_kind, mono)
 
     y_elems = tuple(base_element(v) for v in y_values)
 
@@ -528,33 +540,11 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
 
     c_seed = initial_composite_seed(g_seed, layout, ext_kind)
 
-    ring_blocks = []
-    sf_blocks = []
+    interior = []
     for i in range(n):
-        ring_targets = []
-        sf_targets = []
-        for l in range(r[i]):
-            if l == r[i] - 1:
-                ring_targets.append(RationalFunction.one(table))
-                sf_targets.append(RationalFunction.one(table))
-            else:
-                zc = Z[i].coeffs[l + 1]
-                ring_targets.append(zc.as_ratfn(table))
-                z_sf = project_np(zc)
-                sf_targets.append(
-                    RationalFunction.zero(table)
-                    if z_sf is P0_ZERO
-                    else z_sf.as_ratfn(table)
-                )
-        ring_blocks.append(
-            SymbolBlock(s_idx=s_idx[i], e_idx=e_idx[i], targets=tuple(ring_targets))
-        )
-        sf_blocks.append(
-            SymbolBlock(s_idx=s_idx[i], e_idx=e_idx[i], targets=tuple(sf_targets))
-        )
-
-    # no e-form depends on the targets: one set of caches serves both
-    caches = dict(cache={}, orbits={}, expansions={})
+        for zc in Z[i].coeffs[1:-1]:
+            z = project_np(zc)
+            interior.append(RationalFunction.zero(table) if z is P0_ZERO else z.as_ratfn(table))
     return Realization(
         table=table,
         layout=layout,
@@ -562,8 +552,7 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
         ext_kind=ext_kind,
         g_seed=g_seed,
         c_seed=c_seed,
-        elem_ring=ElementarySymbols(table, tuple(ring_blocks), **caches),
-        elem_sf=ElementarySymbols(table, tuple(sf_blocks), **caches),
+        symbols=splitting_symbols(table, r, interior),
     )
 
 

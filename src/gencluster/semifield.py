@@ -1,12 +1,14 @@
-"""Coefficient semifields: trivial, tropical (min convention), universal.
+"""Coefficient semifields: universal and tropical (min convention).
 
-A semifield value is immutable. Tropical elements are integer exponent
-vectors over a fixed generator list, added by componentwise minimum.
-Universal elements are subtraction-free rational functions supported on
+A semifield value is immutable and takes one of two forms. Tropical
+elements are integer exponent vectors over a fixed generator list, added
+by componentwise minimum; the trivial semifield {1} is the tropical one
+on no generators, whose single element is the empty vector. Universal
+elements are subtraction-free rational functions supported on
 designated generator variables of a shared table; each is stored in one
 form, a `FactoredFraction`, so products, powers and inverses merge
 factor exponents and nothing is multiplied out until a caller asks for
-`as_ratfn`. The trivial semifield has the single element 1. The module
+`as_ratfn`. The module
 also provides the group-ring fragment used for exchange-polynomial
 coefficients (finite nonnegative integer combinations of semifield
 values), its projection onto the semifield-with-zero, and the
@@ -21,7 +23,6 @@ from .polyring import (
     ElementarySymbols,
     FactoredFraction,
     LaurentPolynomial,
-    PsiDomainError,
     RationalFunction,
     VariableTable,
     cross_evaluate,
@@ -70,9 +71,12 @@ class SemifieldKind:
                 raise ValueError("generator names must be nonempty")
         if self.kind == UNIVERSAL and self.table is None:
             raise ValueError("universal semifield needs a variable table")
+        if self.kind == TRIVIAL and self.generators:
+            raise ValueError("the trivial semifield has no generators")
 
     @classmethod
     def trivial(cls):
+        """The semifield {1}: computed as tropical on no generators."""
         return cls(TRIVIAL, ())
 
     @classmethod
@@ -103,8 +107,14 @@ def _check_kind(a, b):
         raise SemifieldMismatchError("semifield mismatch")
 
 
+def _generator_index(kind: SemifieldKind, name: str) -> int:
+    if name not in kind.generators:
+        raise ValueError(f"unknown generator {name!r}")
+    return kind.generators.index(name)
+
+
 class SemifieldElement:
-    """A value of one of the three supported coefficient semifields."""
+    """A value of a universal or an exponent-vector (tropical) semifield."""
 
     __slots__ = ("kind", "payload")
 
@@ -116,21 +126,18 @@ class SemifieldElement:
 
     @classmethod
     def one(cls, kind: SemifieldKind):
-        if kind.kind == TRIVIAL:
-            return cls(kind, None)
-        if kind.kind == TROPICAL:
-            return cls(kind, (0,) * len(kind.generators))
-        return cls(kind, FactoredFraction.one(kind.table))
+        if kind.kind == UNIVERSAL:
+            return cls(kind, FactoredFraction.one(kind.table))
+        return cls(kind, (0,) * len(kind.generators))
 
     @classmethod
     def tropical(cls, kind: SemifieldKind, exponents):
-        if kind.kind != TROPICAL:
+        if kind.kind == UNIVERSAL:
             raise SemifieldMismatchError("semifield mismatch")
         if isinstance(exponents, dict):
             vec = [0] * len(kind.generators)
-            pos = {g: i for i, g in enumerate(kind.generators)}
             for name, e in exponents.items():
-                vec[pos[name]] = int(e)
+                vec[_generator_index(kind, name)] = int(e)
             exponents = vec
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != len(kind.generators):
@@ -156,28 +163,25 @@ class SemifieldElement:
 
     @classmethod
     def generator(cls, kind: SemifieldKind, name: str, power: int = 1):
-        if kind.kind == TROPICAL:
-            return cls.tropical(kind, {name: power})
         if kind.kind == UNIVERSAL:
+            _generator_index(kind, name)
             return cls.universal(
                 kind, RationalFunction.variable(kind.table, name, power)
             )
-        raise ValueError("the trivial semifield has no generators")
+        return cls.tropical(kind, {name: power})
 
     # -- conversions -------------------------------------------------------
 
     def as_ratfn(self, table: VariableTable) -> RationalFunction:
         """This value as a rational function on the given table."""
-        if self.kind.kind == TRIVIAL:
-            return RationalFunction.one(table)
-        if self.kind.kind == TROPICAL:
-            powers = {
-                name: e for name, e in zip(self.kind.generators, self.payload) if e
-            }
-            return RationalFunction.monomial(table, powers)
-        if self.payload.table is not table:
-            raise SemifieldMismatchError("semifield mismatch")
-        return self.payload.expand()
+        if self.kind.kind == UNIVERSAL:
+            if self.payload.table is not table:
+                raise SemifieldMismatchError("semifield mismatch")
+            return self.payload.expand()
+        powers = {
+            name: e for name, e in zip(self.kind.generators, self.payload) if e
+        }
+        return RationalFunction.monomial(table, powers)
 
     def as_factored(self, table: VariableTable) -> FactoredFraction:
         if self.kind.kind == UNIVERSAL:
@@ -187,16 +191,14 @@ class SemifieldElement:
         return FactoredFraction.from_ratfn(self.as_ratfn(table))
 
     def render(self) -> str:
-        if self.kind.kind == TRIVIAL:
-            return "1"
-        if self.kind.kind == TROPICAL:
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(self.kind.generators, self.payload)
-                if e
-            ]
-            return "*".join(factors) if factors else "1"
-        return self.payload.render()
+        if self.kind.kind == UNIVERSAL:
+            return self.payload.render()
+        factors = [
+            name if e == 1 else f"{name}^{e}"
+            for name, e in zip(self.kind.generators, self.payload)
+            if e
+        ]
+        return "*".join(factors) if factors else "1"
 
     def __repr__(self):
         return f"<sf {self.render()}>"
@@ -211,50 +213,36 @@ class SemifieldElement:
 
 def sf_eq(a: SemifieldElement, b: SemifieldElement) -> bool:
     _check_kind(a, b)
-    if a.kind.kind == TRIVIAL:
-        return True
-    if a.kind.kind == TROPICAL:
-        return a.payload == b.payload
-    return ff_eq(a.payload, b.payload)
+    if a.kind.kind == UNIVERSAL:
+        return ff_eq(a.payload, b.payload)
+    return a.payload == b.payload
 
 
 def sf_add(a: SemifieldElement, b: SemifieldElement) -> SemifieldElement:
     """Semifield addition: min of exponents (tropical), ordinary + (universal)."""
     _check_kind(a, b)
-    k = a.kind.kind
-    if k == TRIVIAL:
-        return a
-    if k == TROPICAL:
-        return SemifieldElement(a.kind, tuple(map(min, a.payload, b.payload)))
-    return SemifieldElement(a.kind, ff_add(a.payload, b.payload))
+    if a.kind.kind == UNIVERSAL:
+        return SemifieldElement(a.kind, ff_add(a.payload, b.payload))
+    return SemifieldElement(a.kind, tuple(map(min, a.payload, b.payload)))
 
 
 def sf_mul(a: SemifieldElement, b: SemifieldElement) -> SemifieldElement:
     _check_kind(a, b)
-    k = a.kind.kind
-    if k == TRIVIAL:
-        return a
-    if k == TROPICAL:
-        return SemifieldElement(a.kind, tuple(x + y for x, y in zip(a.payload, b.payload)))
-    return SemifieldElement(a.kind, a.payload * b.payload)
+    if a.kind.kind == UNIVERSAL:
+        return SemifieldElement(a.kind, a.payload * b.payload)
+    return SemifieldElement(a.kind, tuple(x + y for x, y in zip(a.payload, b.payload)))
 
 
 def sf_inv(a: SemifieldElement) -> SemifieldElement:
-    k = a.kind.kind
-    if k == TRIVIAL:
-        return a
-    if k == TROPICAL:
-        return SemifieldElement(a.kind, tuple(-e for e in a.payload))
-    return SemifieldElement(a.kind, a.payload.inverse())
+    if a.kind.kind == UNIVERSAL:
+        return SemifieldElement(a.kind, a.payload.inverse())
+    return SemifieldElement(a.kind, tuple(-e for e in a.payload))
 
 
 def sf_pow(a: SemifieldElement, n: int) -> SemifieldElement:
-    k = a.kind.kind
-    if k == TRIVIAL:
-        return a
-    if k == TROPICAL:
-        return SemifieldElement(a.kind, tuple(n * e for e in a.payload))
-    return SemifieldElement(a.kind, a.payload ** n)
+    if a.kind.kind == UNIVERSAL:
+        return SemifieldElement(a.kind, a.payload ** n)
+    return SemifieldElement(a.kind, tuple(n * e for e in a.payload))
 
 
 def iterated_oplus(count: int, p: SemifieldElement) -> SemifieldElement:
@@ -484,12 +472,7 @@ def psi(element: SemifieldElement, symbols: ElementarySymbols,
     image = psi_hat_factored(element.payload, symbols, require_nonneg=True)
     if base_kind.kind == UNIVERSAL:
         return SemifieldElement(base_kind, image)
-    if base_kind.kind == TROPICAL:
-        return _tropicalize_factored(image, base_kind)
-    for p, _ in image.factors.values():
-        if p.support_vars():
-            raise PsiDomainError("not in domain of psi_hat")
-    return SemifieldElement.one(base_kind)
+    return _tropicalize_factored(image, base_kind)
 
 
 def _tropicalize_factored(ff: FactoredFraction, kind: SemifieldKind) -> SemifieldElement:

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .polyring import (
-    ElementarySymbols,
     FactoredFraction,
     LaurentPolynomial,
     RationalFunction,
-    SymbolBlock,
     TermLimitError,
     VariableTable,
     cross_evaluate,
@@ -55,6 +53,7 @@ from .composite import (
     sigma_of_word,
     slot_name,
     slot_names,
+    splitting_symbols,
 )
 from .invariants import (
     CompositeInvariants,
@@ -142,7 +141,7 @@ def check_y_realization(rz: Realization, word) -> CheckReport:
         for l in range(rz.r[i]):
             v = c.y(i, l)
             prod = v if prod is None else sf_mul(prod, v)
-        image = psi(prod, rz.elem_sf, rz.base_kind)
+        image = psi(prod, rz.symbols, rz.base_kind)
         want = sf_pow(g.y[i], rz.r[i])
         tested += 1
         if not sf_eq(image, want):
@@ -249,28 +248,17 @@ def _relation_table(r):
     return VariableTable(coefficient_names(r) + slot_names("s", r) + slot_names("e", r))
 
 
-def _relation_symbols(table, n, r):
-    blocks = []
-    for i in range(n):
-        s_idx = tuple(table.index(slot_name("s", i, l, n)) for l in range(r[i]))
-        e_idx = tuple(table.index(slot_name("e", i, l, n)) for l in range(r[i]))
-        targets = []
-        for l in range(r[i]):
-            if l == r[i] - 1:
-                targets.append(RationalFunction.one(table))
-            else:
-                targets.append(
-                    RationalFunction.variable(table, slot_name("z", i, l, n))
-                )
-        blocks.append(SymbolBlock(s_idx=s_idx, e_idx=e_idx, targets=tuple(targets)))
-    return ElementarySymbols(table=table, blocks=tuple(blocks))
+def _relation_symbols(table, r):
+    """Splitting symbols whose interior targets are the generators z_il."""
+    z = [RationalFunction.variable(table, nm) for nm in slot_names("z", r, interior=True)]
+    return splitting_symbols(table, r, z)
 
 
 def _f_relation_endpoint(ge, ce, r, failures, counter) -> None:
     """Direct endpoint comparison, both the block-product and swapped forms."""
     n = ge.n
     table = _relation_table(r)
-    symbols = _relation_symbols(table, n, r)
+    symbols = _relation_symbols(table, r)
     pairs = block_pairs(r)
     offs = block_offsets(r)
 
@@ -452,7 +440,7 @@ def check_f_relation(B: ExchangeMatrix, r, word, mode: str = "auto") -> CheckRep
     ge = GeneralizedInvariants(B, r)
     ce = CompositeInvariants(B, r)
     table = _stepwise_table(r)
-    symbols = _relation_symbols(table, n, r)
+    symbols = _relation_symbols(table, r)
     failures = []
     counter = [0]
     offs = block_offsets(r)

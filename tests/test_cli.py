@@ -77,15 +77,31 @@ def _tropical_document(tmp_path):
     return str(path)
 
 
+def _trivial_document(tmp_path):
+    """Case 2 over the trivial semifield: every coefficient is 1."""
+    doc = case_document(2)
+    doc["semifield"] = {"kind": "trivial", "generators": []}
+    doc["y"] = [{}, {}]
+    for row in doc["Z"]:
+        for l in range(1, len(row) - 1):
+            row[l] = [{"multiplicity": 1, "monomial": {}}]
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.mark.parametrize("seed, digest", [
     ("case1", "be857aff401f79497e73c5584fdb6ca6bb420c52b6c96a84d5fdb566535791bf"),
     ("case2", "1698f8d89551928b2a19e7d83de82aa933b5014faaa8d9ae76cd833cece47ea3"),
     ("tropical", "ec0565996afac1acb2bf5cd4919fb4462d8a806c09dd5314ad7f1614490350ed"),
+    ("trivial", "d5c65faee4f7144566556f830f1d8f5806a2c82f5ca4013cd837fd35e1787b8a"),
 ])
 def test_mutate_output_is_pinned(capsys, tmp_path, seed, digest):
     # sha256 of the whole default output of `mutate --word 1,2,1`
     if seed == "tropical":
         seed = _tropical_document(tmp_path)
+    elif seed == "trivial":
+        seed = _trivial_document(tmp_path)
     assert main(["mutate", "--seed", seed, "--word", "1,2,1"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""

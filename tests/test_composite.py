@@ -17,7 +17,7 @@ from gencluster.composite import (
     read_block_matrix,
     sigma_of_word,
 )
-from gencluster.pattern import ExchangeMatrix, mutate_seed, walk, walk_y
+from gencluster.pattern import ExchangeMatrix, mutate_seed, reduced_words, walk, walk_y
 from gencluster.polyring import FactoredFraction, RationalFunction, psi_hat_factored
 from gencluster.semifield import psi, sf_eq, sf_inv, sf_mul, sf_pow
 from gencluster.verify import random_realization
@@ -154,7 +154,7 @@ def test_aggregates_initial_and_depth_one():
     g1 = walk(rz.g_seed, (1,))
     c1 = composite_walk(rz.c_seed, (1,))
     agg1 = aggregates(c1, g1)
-    image = psi_hat_factored(agg1.X[0], rz.elem_ring)
+    image = psi_hat_factored(agg1.X[0], rz.symbols)
     embed = rz.x_embedding()
     gx = g1.x[0].expand()
     want = RationalFunction(
@@ -207,7 +207,7 @@ def test_split_coefficient_structure(case, words):
                 ).inverse()
                 units.append(quotient)
                 image = psi(
-                    _wrap_ext(rz, quotient), rz.elem_sf, rz.base_kind
+                    _wrap_ext(rz, quotient), rz.symbols, rz.base_kind
                 )
                 assert sf_eq(
                     image,
@@ -240,7 +240,7 @@ def test_block_coefficient_product_realizes_power(case):
             for l in range(rz.r[i]):
                 v = cs.y(i, l)
                 prod = v if prod is None else sf_mul(prod, v)
-            image = psi(prod, rz.elem_sf, rz.base_kind)
+            image = psi(prod, rz.symbols, rz.base_kind)
             assert sf_eq(image, sf_pow(g.y[i], rz.r[i]))
 
 
@@ -253,7 +253,7 @@ def test_degree_one_realization_forces_splits_to_one():
         assert split == RationalFunction.monomial(
             table, {f"s{i + 1}1": 1, f"y{i + 1}": 1}
         )
-        image = psi(rz.c_seed.y(i, 0), rz.elem_sf, rz.base_kind)
+        image = psi(rz.c_seed.y(i, 0), rz.symbols, rz.base_kind)
         assert sf_eq(
             image,
             _generator(rz.base_kind, f"y{i + 1}"),
@@ -292,8 +292,35 @@ def test_aggregate_image_matches_hand_expansion_case1():
     den = mono({"x11": 1, "x12": 1}) * (
         mono({}) + mono({"z11": 1, "y1": 1}) + mono({"y1": 2})
     )
-    image = psi_hat_factored(agg.X[0], rz.elem_ring)
+    image = psi_hat_factored(agg.X[0], rz.symbols)
     assert image == RationalFunction(num, den)
+
+
+def test_one_symbol_set_carries_the_group_ring_targets():
+    # over a universal base with nonnegative multiplicities the projected
+    # coefficients are the group-ring sums, so the semifield targets serve
+    # the ring-level elimination of x-realization as well
+    rz = build_realization(
+        2,
+        (2, 3),
+        [[0, 1], [-2, 0]],
+        (2, 1),
+        generators=["y1", "y2", "a", "b"],
+        y_values=[{"y1": 1}, {"y2": 1}],
+        z_values=[
+            [[(2, {"a": 1})]],
+            [[(1, {"a": 1}), (1, {"b": 1})], [(3, {})]],
+        ],
+    )
+    table = rz.table
+    for block, Zi in zip(rz.symbols.blocks, rz.g_seed.Z):
+        want = [zc.as_ratfn(table) for zc in Zi.coeffs[1:-1]]
+        assert list(block.targets) == want + [RationalFunction.one(table)]
+    from gencluster.verify import check_x_realization, check_y_realization
+
+    for word in reduced_words(rz.n, 2):
+        assert check_y_realization(rz, word).passed
+        assert check_x_realization(rz, word).passed
 
 
 def test_tropical_y_realization_with_summed_coefficients():
@@ -334,7 +361,7 @@ def test_tropical_realization_small():
             for l in range(rz.r[i]):
                 v = cs.y(i, l)
                 prod = v if prod is None else sf_mul(prod, v)
-            image = psi(prod, rz.elem_sf, rz.base_kind)
+            image = psi(prod, rz.symbols, rz.base_kind)
             assert sf_eq(image, sf_pow(g.y[i], rz.r[i]))
 
 

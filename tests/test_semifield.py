@@ -51,6 +51,22 @@ def test_trivial_addition_is_unit():
     assert sf_eq(sf_mul(one, sf_inv(one)), one)
 
 
+def test_trivial_kind_rejects_generators():
+    # the trivial semifield is the tropical one on no generators; with a
+    # generator it would quietly compute as tropical over it
+    with pytest.raises(ValueError, match="no generators"):
+        SemifieldKind("trivial", ("a",))
+    assert SemifieldElement.one(SemifieldKind.trivial()).payload == ()
+
+
+def test_unknown_generator_names_raise_value_error(trop, univ):
+    with pytest.raises(ValueError, match="unknown generator 'v'"):
+        SemifieldElement.tropical(trop, {"v": 1})
+    for kind in (trop, univ, SemifieldKind.trivial()):
+        with pytest.raises(ValueError, match="unknown generator 'v'"):
+            SemifieldElement.generator(kind, "v")
+
+
 def test_tropical_min_convention(trop):
     u2 = SemifieldElement.tropical(trop, [2])
     uinv = SemifieldElement.tropical(trop, [-1])

@@ -69,7 +69,7 @@ def test_x_realization_shallow(case):
 
 
 def test_realization_checks_share_one_class_cache(monkeypatch):
-    # y- and x-realization eliminate through elem_sf and elem_ring; every
+    # y- and x-realization eliminate through the one symbol set; every
     # m_lambda is rewritten once for both, and nothing else is reduced
     rz = case_realization(2)
     calls = []
@@ -82,12 +82,11 @@ def test_realization_checks_share_one_class_cache(monkeypatch):
     monkeypatch.setattr(polyring, "_reduce_one_block", counted)
     assert check_y_realization(rz, (1, 2)).passed
     assert check_x_realization(rz, (1, 2)).passed
-    assert rz.elem_ring.cache is rz.elem_sf.cache
-    assert len(calls) == len(rz.elem_ring.cache) > 0
+    assert len(calls) == len(rz.symbols.cache) > 0
 
 
 def test_realization_checks_eliminate_each_orbit_once(monkeypatch):
-    # x- and y-realization share one orbit cache, so a second x-run
+    # x- and y-realization share the symbols' orbit cache, so a second x-run
     # rewrites no orbit product again
     rz = case_realization(2)
     calls = []
@@ -103,9 +102,8 @@ def test_realization_checks_eliminate_each_orbit_once(monkeypatch):
     first = len(calls)
     assert check_x_realization(rz, (1, 2, 1)).passed
     assert len(calls) == first > 0
-    assert rz.elem_ring.orbits is rz.elem_sf.orbits
     # one e-form per orbit: each entry is shared by all of its members
-    assert len({id(entry) for entry in rz.elem_ring.orbits.values()}) == first
+    assert len({id(entry) for entry in rz.symbols.orbits.values()}) == first
 
 
 # f-relation report sizes, (endpoint mode, auto mode) per word; auto mode
