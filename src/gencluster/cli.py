@@ -41,7 +41,6 @@ from .pattern import check_word, render_matrix, walk
 from .polyring import TermLimitError
 from .verify import (
     CHECKS,
-    ExpressionSwellError,
     check_enlargement_commutes,
     random_instance,
     random_realization,
@@ -438,7 +437,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, TermLimitError, ExpressionSwellError) as exc:
+    except (ArithmeticError, TermLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -18,6 +18,7 @@ from .polyring import (
     RationalFunction,
     SymbolBlock,
     VariableTable,
+    ff_add,
     psi_hat_factored,
 )
 from .pattern import (
@@ -207,14 +208,15 @@ def composite_mutate_closed(seed: CompositeSeed, k: int) -> CompositeSeed:
         if e:
             mult = mult * ordinary.x[offs[j] + m] ** e
 
+    one = FactoredFraction.one(table)
     new_x = list(ordinary.x)
     for l in range(rk):
         flat = offs[k0] + l
         new_x[flat] = (
             ordinary.x[flat].inverse()
             * mult
-            * _one_plus(y_hat(ordinary, flat))
-            * _one_plus(ordinary.y[flat].as_factored(table)).inverse()
+            * ff_add(one, y_hat(ordinary, flat))
+            / ff_add(one, ordinary.y[flat].as_factored(table))
         )
 
     block_prod = None
@@ -251,12 +253,6 @@ def composite_mutate_closed(seed: CompositeSeed, k: int) -> CompositeSeed:
         B=ExchangeMatrix(new_big.rows, ordinary.B.d),
     )
     return _flip_block(seed, k0, new_ord)
-
-
-def _one_plus(ff: FactoredFraction) -> FactoredFraction:
-    """1 + ff, over ff's denominator kept factored."""
-    num, den = ff.expand_parts()
-    return FactoredFraction.from_poly(num + den) * ff.negative_part().inverse()
 
 
 def _one_oplus(y: SemifieldElement) -> SemifieldElement:

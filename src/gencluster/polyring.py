@@ -11,9 +11,10 @@ dense and work on whole groups of coefficients packed into big ints
 (`_mul_packed`, `_div_packed`); a quotient found that way is returned
 only with a certificate of exactness, and otherwise the heap division
 decides. A rational function is a pair of polynomials normalized
-only by integer content, monomial content and denominator sign. Equality
-of fractions is decided by exact cofactor division or cross-multiplication,
-never by canonical form, so no multivariate GCD is needed anywhere.
+only by integer content, monomial content and denominator sign. Every
+equality of fractions, in either operand order, is decided by `ff_eq`:
+factor cancellation, then exact cofactor division or cross-multiplication,
+never a canonical form, so no multivariate GCD is needed anywhere.
 
 The module also provides the block-symmetry test for the splitting
 variables, the rewriting of a block-symmetric polynomial into elementary
@@ -27,6 +28,7 @@ import heapq
 import itertools
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import ge, or_
@@ -1228,11 +1230,7 @@ class RationalFunction:
     (so the denominator has none), makes the coefficient of its
     lexicographically largest term positive, and cancels the common
     integer content of the two parts. Nothing stronger is attempted.
-    `__eq__` decides a/b == c/d by dividing one numerator by the other:
-    if c = a*k exactly, the fractions are equal iff d == b*k. A division
-    is tried only when each variable's exponent span of the dividend is at
-    least the divisor's. Only when neither numerator divides the other
-    does it cross-multiply.
+    Equality, with a RationalFunction or a FactoredFraction, is `ff_eq`.
     """
 
     __slots__ = ("num", "den")
@@ -1309,32 +1307,9 @@ class RationalFunction:
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, FactoredFraction):
-            other = other.expand()
-        if not isinstance(other, RationalFunction):
+        if not isinstance(other, (RationalFunction, FactoredFraction)):
             return NotImplemented
-        _check_table(self, other)
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if a == c and b == d:
-            return True
-        if not a or not c:
-            return not a and not c
-        # a/b == c/d iff a*d == c*b. When c = a*k exactly, that holds iff
-        # d == b*k (a is nonzero), so one division and a product by the
-        # usually small cofactor k decide it; likewise the other way round.
-        # Exponent spans add under multiplication, so c = a*k needs
-        # span(c) >= span(a) in every variable; a division that cannot
-        # succeed is not started, as its descent may run to the term cap.
-        sa, sc = _spans(a._d, a._lay), _spans(c._d, c._lay)
-        if len(c) >= len(a) and all(map(ge, sc, sa)):
-            k = c.exact_div(a)
-            if k is not None:
-                return d == b * k
-        if len(a) >= len(c) and all(map(ge, sa, sc)):
-            k = a.exact_div(c)
-            if k is not None:
-                return b == d * k
-        return a * d == c * b
+        return _fraction_eq(self, other)
 
     __hash__ = None
 
@@ -1409,8 +1384,19 @@ class RationalFunction:
 
 
 def ratfn_eq(f: RationalFunction, g: RationalFunction) -> bool:
-    """Exact equality of fractions: cofactor division, else cross-multiplication."""
+    """Exact equality of fractions (`ff_eq`)."""
     return f == g
+
+
+def _fraction_eq(f, g) -> bool:
+    """Both `__eq__` methods: zero equals only zero, all else is `ff_eq`."""
+    _check_table(f, g)
+    zero = [isinstance(h, RationalFunction) and not h for h in (f, g)]
+    if any(zero):
+        return all(zero)
+    f, g = (FactoredFraction.from_ratfn(h) if isinstance(h, RationalFunction) else h
+            for h in (f, g))
+    return ff_eq(f, g)
 
 
 class FactoredFraction:
@@ -1520,13 +1506,9 @@ class FactoredFraction:
         for p, e in self.factors.values():
             for _ in range(abs(e)):
                 if e > 0:
-                    num = num * p
-                    if term_limit is not None and len(num) > term_limit:
-                        raise TermLimitError(f"expansion exceeds {term_limit} terms")
+                    num = _bounded(num * p, term_limit)
                 else:
-                    den = den * p
-                    if term_limit is not None and len(den) > term_limit:
-                        raise TermLimitError(f"expansion exceeds {term_limit} terms")
+                    den = _bounded(den * p, term_limit)
         return num, den
 
     def expand(self) -> "RationalFunction":
@@ -1534,13 +1516,9 @@ class FactoredFraction:
         return RationalFunction(num, den)
 
     def __eq__(self, other):
-        if isinstance(other, RationalFunction):
-            return ff_eq(self, FactoredFraction.from_ratfn(other))
-        if not isinstance(other, FactoredFraction):
+        if not isinstance(other, (RationalFunction, FactoredFraction)):
             return NotImplemented
-        if self.factors == other.factors:
-            return True
-        return ff_eq(self, other)
+        return _fraction_eq(self, other)
 
     __hash__ = None
 
@@ -1552,24 +1530,66 @@ class FactoredFraction:
 
 
 def ff_eq(a: FactoredFraction, b: FactoredFraction, term_limit=None) -> bool:
-    """Exact equality of factored fractions with factor-level cancellation.
+    """Exact equality of fractions; every comparison, either way round, ends here.
 
-    The quotient's factors are first stripped of integer and monomial
-    content so that equal polynomials cancel even when built differently;
-    only the remaining residual is multiplied out and cross-compared.
-    `term_limit` bounds the residual expansion.
+    1. Factors with equal keys and exponents of one sign cancel across a, b.
+    2. The rest lose integer and monomial content and cancel again. The
+       primitive parts multiply to primitive parts (Gauss), so a == b
+       needs equal contents.
+    3. Each side is multiplied out: a = A/B, b = C/D.
+    4. If C = A*k exactly, a == b iff D == B*k; likewise A = C*k. Exponent
+       spans add under multiplication, so a division whose dividend is
+       narrower than its divisor in some variable, which might run to its
+       term cap, is not started. Else A*D and C*B are compared.
+
+    Every product formed raises TermLimitError past `term_limit` terms.
     """
-    from fractions import Fraction
-
-    q = a * b.inverse()
-    if not q.factors:
+    fa, fb = dict(a.factors), dict(b.factors)
+    _cancel_same_sign(fa, fb)
+    if not fa and not fb:
         return True
-    table = q.table
-    width = len(table)
+    fa, ca = _primitive_factors(a.table, fa)
+    fb, cb = _primitive_factors(a.table, fb)
+    if ca != cb:
+        return False
+    _cancel_same_sign(fa, fb)
+    A, B = FactoredFraction(a.table, fa).expand_parts(term_limit)
+    C, D = FactoredFraction(a.table, fb).expand_parts(term_limit)
+    if A == C:
+        return B == D
+    if B == D:
+        return False
+    sa, sc = _spans(A._d, A._lay), _spans(C._d, C._lay)
+    if len(C) >= len(A) and all(map(ge, sc, sa)):
+        k = C.exact_div(A)
+        if k is not None:
+            return D == _bounded(B * k, term_limit)
+    if len(A) >= len(C) and all(map(ge, sa, sc)):
+        k = A.exact_div(C)
+        if k is not None:
+            return B == _bounded(D * k, term_limit)
+    return _bounded(A * D, term_limit) == _bounded(C * B, term_limit)
+
+
+def _cancel_same_sign(fa: dict, fb: dict) -> None:
+    """Cancel, in place, the shared factors of fa and fb whose exponents agree in sign."""
+    for key in [k for k in fa if k in fb]:
+        (p, ea), (_, eb) = fa[key], fb[key]
+        if (ea > 0) == (eb > 0):
+            common = min(ea, eb) if ea > 0 else max(ea, eb)
+            for side, e in ((fa, ea), (fb, eb)):
+                if e == common:
+                    del side[key]
+                else:
+                    side[key] = (p, e - common)
+
+
+def _primitive_factors(table, factors: dict):
+    """Factors without integer and monomial content, merged; and that content."""
     coeff = Fraction(1)
-    mono = [0] * width
-    canon: dict = {}
-    for p, e in q.factors.values():
+    mono = [0] * len(table)
+    out: dict = {}
+    for p, e in factors.values():
         mc = p.monomial_content()
         if any(mc):
             p = p.shift(tuple(-v for v in mc))
@@ -1584,16 +1604,18 @@ def ff_eq(a: FactoredFraction, b: FactoredFraction, term_limit=None) -> bool:
         if p.is_one():
             continue
         key = FactoredFraction._key(p)
-        if key in canon:
-            merged = canon[key][1] + e
-            if merged:
-                canon[key] = (p, merged)
-            else:
-                del canon[key]
+        merged = out[key][1] + e if key in out else e
+        if merged:
+            out[key] = (p, merged)
         else:
-            canon[key] = (p, e)
-    num, den = FactoredFraction(table, canon).expand_parts(term_limit)
-    return num.shift(mono).scale(coeff.numerator) == den.scale(coeff.denominator)
+            del out[key]
+    return out, (coeff, mono)
+
+
+def _bounded(p: LaurentPolynomial, term_limit) -> LaurentPolynomial:
+    if term_limit is not None and len(p) > term_limit:
+        raise TermLimitError(f"expansion exceeds {term_limit} terms")
+    return p
 
 
 def ff_add(a: FactoredFraction, b: FactoredFraction) -> FactoredFraction:

@@ -18,8 +18,8 @@ from gencluster.cases import (
 from gencluster.composite import block_offsets, enlarge, sigma_of_word
 from gencluster.invariants import GeneralizedInvariants
 from gencluster.pattern import ExchangeMatrix, reduced_words
+from gencluster.polyring import TermLimitError
 from gencluster.verify import (
-    ExpressionSwellError,
     check_enlargement_commutes,
     check_x_realization,
     check_y_realization,
@@ -147,7 +147,7 @@ def test_criterion_6_x_realization():
                 report = check_x_realization(rz, word, term_limit=10 ** 6)
                 assert report.passed, f"case {case} word {word}: {report.witness}"
                 runs += 1
-        except ExpressionSwellError as exc:
+        except TermLimitError as exc:
             if case != 2:
                 raise
             # fall back to the sanctioned shallower word set and report it

@@ -13,7 +13,6 @@ from gencluster.cli import (
     render_seed_document,
 )
 from gencluster.polyring import TermLimitError
-from gencluster.verify import ExpressionSwellError
 
 
 def test_round_trip_is_identity():
@@ -158,7 +157,6 @@ def test_verify_rejects_empty_ranges(capsys, args):
 @pytest.mark.parametrize("error", [
     ArithmeticError("polynomial recursion step is not exactly divisible"),
     TermLimitError("expansion exceeds 10 terms"),
-    ExpressionSwellError("equality residual exceeds 10 terms"),
 ])
 def test_verify_stopped_computation_exits_three(capsys, monkeypatch, error):
     def raiser(*args):

@@ -1,12 +1,14 @@
-"""Fraction equality by cofactor division, against cross-multiplication.
+"""Fraction equality: `ff_eq` decides every comparison, against cross-multiplication.
 
-`RationalFunction.__eq__` decides a/b == c/d by dividing one numerator by
-the other and comparing the denominators against the cofactor; only when
-neither numerator divides the other does it multiply out a*d and c*b.
-Every verdict here is compared with that cross-multiplication, computed
-inline, and with sympy's `cancel` when sympy is installed. The exact
-division's quotient bound is checked to fail early and never to reject
-an exact Laurent quotient.
+Both `__eq__` methods, of `RationalFunction` and of `FactoredFraction`, in
+either operand order, hand their operands to `polyring.ff_eq`. It cancels
+shared factors, strips content, multiplies out each side to a/b and c/d,
+and divides one numerator by the other: if c = a*k exactly, the fractions
+are equal iff d == b*k. Only when neither numerator divides the other
+does it multiply out a*d and c*b. Every verdict here is compared with that
+cross-multiplication, computed inline, and with sympy's `cancel` when
+sympy is installed. The exact division's quotient bound is checked to
+fail early and never to reject an exact Laurent quotient.
 """
 
 import heapq
@@ -15,11 +17,15 @@ import random
 import pytest
 
 from gencluster import polyring
+from gencluster.cases import case_realization
+from gencluster.invariants import separation_reconstruct_generalized
+from gencluster.pattern import walk
 from gencluster.polyring import (
     FactoredFraction,
     LaurentPolynomial,
     RationalFunction,
     VariableTable,
+    ff_eq,
 )
 
 TABLE = VariableTable(["x", "y", "z"])
@@ -161,6 +167,91 @@ def test_hypothesis_cofactor_pairs():
         assert f == RationalFunction(a, b)
 
     prop()
+
+
+def test_every_comparison_reaches_ff_eq(monkeypatch):
+    calls = []
+    real = polyring.ff_eq
+
+    def counted(a, b, term_limit=None):
+        calls.append((a, b))
+        return real(a, b, term_limit)
+
+    monkeypatch.setattr(polyring, "ff_eq", counted)
+    f, g = RationalFunction(A, B), RationalFunction(A * K, B * K)
+    ff = FactoredFraction.from_poly(A) / FactoredFraction.from_poly(B)
+    gg = FactoredFraction.from_poly(A * K) / FactoredFraction.from_poly(B * K)
+    for x, y in ((f, g), (g, f), (f, gg), (gg, f), (ff, gg), (ff, f)):
+        assert x == y
+    assert f != RationalFunction(A, L) and FactoredFraction.from_poly(L) != f
+    assert len(calls) == 8
+    # only a zero numerator is decided before ff_eq
+    assert RationalFunction.zero(TABLE) != ff and ff != RationalFunction.zero(TABLE)
+    assert len(calls) == 8
+
+
+def test_separation_comparison_costs_the_same_in_both_orders(monkeypatch):
+    # case2 word 1,2,1: the reconstruction xs[0] is a quotient of expanded
+    # polynomials and the walk's end.x[0] a product of factors. Before one
+    # routine decided both orders, the second order multiplied out both
+    # cross products (6,318,168 term pairs, against 15,149 for the first).
+    rz = case_realization(2)
+    end = walk(rz.g_seed, (1, 2, 1))
+    xs, _ = separation_reconstruct_generalized(rz.g_seed, (1, 2, 1))
+    pairs = [0]
+    real = LaurentPolynomial.__mul__
+
+    def counting(self, other):
+        pairs[0] += len(self) * len(other)
+        return real(self, other)
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counting)
+    counts = []
+    for lhs, rhs in ((xs[0], end.x[0]), (end.x[0], xs[0])):
+        pairs[0] = 0
+        assert lhs == rhs
+        counts.append(pairs[0])
+    assert max(counts) < 100_000, counts
+
+
+def test_hypothesis_factored_fractions_agree():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    exps = st.tuples(*[st.integers(-2, 2)] * 3)
+    polys = st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    factors = st.lists(st.tuples(polys.map(poly), st.integers(-2, 2).filter(bool)), max_size=3)
+    contents = st.one_of(st.just((1, (0, 0, 0))), st.tuples(st.sampled_from([-1, 2, -3, 6]), exps))
+    seen = {True: 0, False: 0}
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.data())
+    def prop(data):
+        shared = data.draw(factors)
+        extra = data.draw(factors)
+        where = data.draw(st.sampled_from(["none", "a", "b", "both"]))
+
+        def side(own):
+            # each shared factor p^e carries its own content c*x^m, undone
+            # by a separate monomial factor, so both sides keep the value
+            ff = FactoredFraction.one(TABLE)
+            for p, e in shared:
+                c, m = data.draw(contents)
+                ff = ff * FactoredFraction.from_poly(p.shift(m).scale(c), e)
+                ff = ff / FactoredFraction.from_poly(poly({m: c}), e)
+            for p, e in extra if own else ():
+                ff = ff * FactoredFraction.from_poly(p, e)
+            return ff
+
+        a, b = side(where in ("a", "both")), side(where in ("b", "both"))
+        an, ad = a.expand_parts()
+        bn, bd = b.expand_parts()
+        expected = an * bd == bn * ad
+        assert ff_eq(a, b) is expected and ff_eq(b, a) is expected
+        assert (a == b.expand()) is expected and (b.expand() == a) is expected
+        seen[expected] += 1
+
+    prop()
+    assert seen[True] and seen[False]
 
 
 # -- the quotient bound of exact_div ------------------------------------------------

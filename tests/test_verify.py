@@ -106,8 +106,9 @@ def test_realization_checks_eliminate_each_orbit_once(monkeypatch):
     assert len({id(entry) for entry in rz.symbols.orbits.values()}) == first
 
 
-# f-relation report sizes, (endpoint mode, auto mode) per word; auto mode
-# skips the case2 endpoint at 2,1,2 by its size estimate
+# f-relation report sizes, (endpoint forced, default _ENDPOINT_LIMIT) per
+# word; the default limit skips the case2 endpoint at 2,1,2 by its size
+# estimate
 F_RELATION_TESTED = {
     1: {(1,): (13, 13), (2,): (13, 13), (1, 2): (21, 21), (2, 1): (21, 21),
         (1, 2, 1): (29, 29), (2, 1, 2): (29, 29)},
@@ -138,7 +139,9 @@ def test_f_relation_endpoint_matches_the_expanded_route(case, monkeypatch):
     monkeypatch.setattr(verify, "psi_hat_factored", oracle)
     for word, (tested, auto) in F_RELATION_TESTED[case].items():
         before = len(images)
-        report = check_f_relation(B, R, word, mode="endpoint")
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_ENDPOINT_LIMIT", 10 ** 18)
+            report = check_f_relation(B, R, word)
         assert report.passed and report.tested == tested
         # the block product and one transposed form per slot, per direction
         assert len(images) - before == sum(1 + ri for ri in R)
@@ -163,11 +166,18 @@ def test_cg_relation_block_sums_match_reference():
     assert eng2.G[2][0] + eng2.G[2][1] == 40
 
 
-def test_f_relation_modes_agree():
+def test_f_relation_modes_agree(monkeypatch):
+    # _ENDPOINT_LIMIT picks the route: a huge limit always runs the
+    # endpoint, 0 checks stepwise only
+    from gencluster import verify
+
     for word in [(1,), (1, 2), (2, 1, 2)]:
-        direct = check_f_relation(B2, R2, word, mode="endpoint")
-        stepped = check_f_relation(B2, R2, word, mode="stepwise")
+        monkeypatch.setattr(verify, "_ENDPOINT_LIMIT", 10 ** 18)
+        direct = check_f_relation(B2, R2, word)
+        monkeypatch.setattr(verify, "_ENDPOINT_LIMIT", 0)
+        stepped = check_f_relation(B2, R2, word)
         assert direct.passed and stepped.passed
+        assert direct.tested - stepped.tested == sum(1 + ri for ri in R2)
 
 
 def test_f_relation_auto_handles_deep_words():
