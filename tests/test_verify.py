@@ -87,16 +87,17 @@ def test_realization_checks_share_one_class_cache(monkeypatch):
 
 def test_realization_checks_eliminate_each_orbit_once(monkeypatch):
     # x- and y-realization share the symbols' orbit cache, so a second x-run
-    # rewrites no orbit product again
+    # rewrites no orbit again; the norm route and the expanded route each
+    # make one e-form rewrite per orbit
     rz = case_realization(2)
     calls = []
-    symmetric_e_form = polyring.symmetric_e_form
+    e_form = polyring._e_form
 
     def counted(*args):
         calls.append(args)
-        return symmetric_e_form(*args)
+        return e_form(*args)
 
-    monkeypatch.setattr(polyring, "symmetric_e_form", counted)
+    monkeypatch.setattr(polyring, "_e_form", counted)
     assert check_y_realization(rz, (1, 2, 1)).passed
     assert check_x_realization(rz, (1, 2, 1)).passed
     first = len(calls)
