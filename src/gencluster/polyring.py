@@ -1821,23 +1821,25 @@ class ElementarySymbols:
         return assign
 
 
+def _clear_s_content(p: LaurentPolynomial, symbols: ElementarySymbols):
+    """p without its content in each s-variable, and the exponent shift that took it."""
+    content = p.monomial_content()
+    shift = [0] * len(p.table)
+    for b in symbols.blocks:
+        for i in b.s_idx:
+            shift[i] = -content[i]
+    return (p.shift(shift) if any(shift) else p), shift
+
+
 def _split_s_content(p: LaurentPolynomial, symbols: ElementarySymbols):
     """Factor out the s-monomial content, requiring equal exponents per block.
 
     Returns the content-free part; the content itself maps to 1 under the
     substitution (each block contributes a power of the full block product).
     """
-    content = p.monomial_content()
-    shift = [0] * len(p.table)
-    for b in symbols.blocks:
-        exps = [content[i] for i in b.s_idx]
-        if len(set(exps)) > 1:
-            raise PsiDomainError("not in domain of psi_hat")
-        if exps and exps[0]:
-            for i in b.s_idx:
-                shift[i] = -exps[0]
-    if any(shift):
-        p = p.shift(shift)
+    p, shift = _clear_s_content(p, symbols)
+    if any(len({shift[i] for i in b.s_idx}) > 1 for b in symbols.blocks):
+        raise PsiDomainError("not in domain of psi_hat")
     return p
 
 
@@ -1891,45 +1893,18 @@ def _free_slots(poly: LaurentPolynomial, symbols: ElementarySymbols, size: int):
 def _det(rows) -> LaurentPolynomial:
     """Determinant of a square matrix of polynomials, without fractions.
 
-    Up to 3 x 3 it is the cofactor expansion along the first column: its
-    products stay small, where Bareiss's grow (the 3 x 3 norm of case2's
-    181-term orbit took 11 ms by cofactors against 84 ms by Bareiss on a
-    2-core x86-64 machine under CPython 3.11). Larger matrices run Bareiss:
-    step k replaces each entry below and right of the pivot m_kk by
-    (m_kk m_ij - m_ik m_kj) / p, p the previous pivot, a division that
-    Sylvester's identity makes exact; a zero pivot swaps in a lower row.
+    The cofactor expansion along the first column: its products stay small
+    (the 3 x 3 norm of case2's 181-term orbit took 11 ms by cofactors
+    against 84 ms by Bareiss on a 2-core x86-64 machine under CPython 3.11).
     """
-    m = [list(row) for row in rows]
-    n = len(m)
-    if n <= 3:
-        if n == 1:
-            return m[0][0]
-        total = _TermSum(m[0][0].table)
-        for i in range(n):
-            if m[i][0]:
-                term = m[i][0] * _det([row[1:] for k, row in enumerate(m) if k != i])
-                (total.sub if i % 2 else total.add)(term)
-        return total.poly()
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            lower = [i for i in range(k + 1, n) if m[i][k]]
-            if not lower:
-                return LaurentPolynomial.zero(m[k][k].table)
-            m[k], m[lower[0]] = m[lower[0]], m[k]
-            sign = -sign
-        p = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                v = p * m[i][j] - m[i][k] * m[k][j]
-                if prev is not None:
-                    v = v.exact_div(prev)
-                    if v is None:
-                        raise ArithmeticError("inexact Bareiss step")
-                m[i][j] = v
-        prev = p
-    return m[n - 1][n - 1].scale(sign)
+    if len(rows) == 1:
+        return rows[0][0]
+    total = _TermSum(rows[0][0].table)
+    for i, row in enumerate(rows):
+        if row[0]:
+            term = row[0] * _det([r[1:] for k, r in enumerate(rows) if k != i])
+            (total.sub if i % 2 else total.add)(term)
+    return total.poly()
 
 
 def _norm(g: LaurentPolynomial, u: int, e_idx) -> LaurentPolynomial:
@@ -1964,8 +1939,8 @@ def _norm(g: LaurentPolynomial, u: int, e_idx) -> LaurentPolynomial:
 def _orbit_norm(poly: LaurentPolynomial, slots: dict, symbols: ElementarySymbols) -> LaurentPolynomial:
     """e-form of the orbit product of poly, a norm per block with a free slot.
 
-    poly, cleared of its s-content as `_split_s_content` clears the orbit
-    product, is rewritten in e-symbols over every block; a block b with a
+    poly, cleared of its s-content (`_clear_s_content`, as for the orbit
+    product), is rewritten in e-symbols over every block; a block b with a
     free slot u = s_d (`_free_slots`) counts as its sub-block b - d, with
     the first r_b - 1 e-symbols of b standing for the e'_j of b - d. One
     `cross_evaluate` substitutes e'_j = e_j - u e'_(j-1) for them, leaving
@@ -1976,12 +1951,7 @@ def _orbit_norm(poly: LaurentPolynomial, slots: dict, symbols: ElementarySymbols
     # the top symbols stay e-symbols of U, unseen by the sub-block e-form
     if poly.support_vars().intersection(symbols.blocks[n].e_idx[-1] for n in slots):
         raise ValueError("input already mentions an elementary symbol")
-    content = poly.monomial_content()
-    shift = [0] * len(table)
-    for b in symbols.blocks:
-        for i in b.s_idx:
-            shift[i] = -content[i]
-    poly = poly.shift(shift)
+    poly = _clear_s_content(poly, symbols)[0]
     blocks = []
     assign = {}
     for n, b in enumerate(symbols.blocks):

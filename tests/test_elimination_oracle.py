@@ -237,7 +237,7 @@ def test_orbit_norm_matches_sympy_resultant(r):
     # a member symmetric in every slot but u = s2: its orbit product is the
     # resultant of U(u) = prod (u - s_i) and g(u), the member with its
     # other slots written in e'_j = e_j - u e'_(j-1), and the e-form of the
-    # expanded product; r = 4 runs the Bareiss determinant
+    # expanded product; r = 4 takes a 4 x 4 determinant
     sympy = pytest.importorskip("sympy")
     from sympy.polys.polyfuncs import symmetrize
     from sympy.polys.subresultants_qq_zz import sylvester
@@ -285,13 +285,13 @@ def test_orbit_norm_matches_sympy_resultant(r):
         assert sympy.expand(want - got) == 0
 
 
-def test_bareiss_determinant_matches_sympy():
+def test_determinant_matches_sympy():
     sympy = pytest.importorskip("sympy")
     table = VariableTable(["y"])
     rng = random.Random(5)
     for n in (4, 5):
         for _ in range(6):
-            # zero entries make zero pivots, which swap rows
+            # zero entries make zero cofactors, which the expansion skips
             rows = [[rng.choice([0, 0, -2, -1, 1, 3]) for _ in range(n)] for _ in range(n)]
             got = polyring._det(
                 [[LaurentPolynomial.constant(table, v) for v in row] for row in rows]
