@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from .polyring import LaurentPolynomial
 from .composite import (
     Realization,
-    block_offsets,
     build_realization,
     coefficient_names,
     enlarge,
@@ -25,6 +24,7 @@ from .composite import (
 )
 from .pattern import ExchangeMatrix, render_matrix
 from .invariants import CompositeInvariants, GeneralizedInvariants
+from .verify import block_relations
 
 CASE_WORD = (1, 2, 1)
 
@@ -331,7 +331,7 @@ def run_table_check(case: int) -> TableCheckResult:
                 and t == known["vertex"]
                 and computed != expected
             ):
-                entry = _flag_known_discrepancy(result, computed, expected, case, r)
+                entry = _flag_known_discrepancy(computed, expected, r)
                 result.add(entry)
                 continue
             result.add(
@@ -370,54 +370,38 @@ def run_table_check(case: int) -> TableCheckResult:
     return result
 
 
-def _flag_known_discrepancy(result, computed, expected, case, r) -> TableEntry:
-    """Confirm the transcribed-value disagreement through both block relations."""
+def _flag_known_discrepancy(computed, expected, r) -> TableEntry:
+    """Confirm the transcribed-value disagreement through the C-relations.
+
+    The transcribed fine C must satisfy every relation against the
+    recomputed coarse C; its block-column sum and shifted-entry form then
+    both equal the recomputed entry.
+    """
     known = KNOWN_DISCREPANCY
     i0, j0 = known["entry"]
-    offs = block_offsets(r)
-    diff_positions = [
-        (i, j)
-        for i in range(len(expected))
-        for j in range(len(expected))
-        if computed[i][j] != expected[i][j]
-    ]
-    if diff_positions != [known["entry"]]:
-        return TableEntry(
-            label=f"{known['matrix']} at t{known['vertex']}",
-            status="mismatch",
-            expected=render_matrix(expected),
-            got=render_matrix(computed),
-            note="disagreement outside the known entry",
-        )
-    recursion_value = computed[i0][j0]
-    printed_cc = TABLE1_CC[known["vertex"]] if case == 1 else None
-    sig = sigma_of_word(CASE_WORD, len(r))
-    form_sum = sum(printed_cc[offs[i0] + l][offs[j0]] for l in range(r[i0]))
-    tilde = {
-        printed_cc[offs[i0] + l][offs[j0] + m] - (sig[j0] if (i0, l) == (j0, m) else 0)
-        for l in range(r[i0])
-        for m in range(r[j0])
-    }
-    form_tilde = (
-        r[i0] * tilde.pop() + (sig[j0] if i0 == j0 else 0) if len(tilde) == 1 else None
-    )
-    if form_sum == recursion_value == form_tilde != known["printed"]:
-        note = (
-            f"recursion gives {recursion_value}, transcription says {known['printed']}; "
-            f"block-column sum of the transcribed fine matrix gives {form_sum} "
-            f"and the shifted-entry form gives {form_tilde}"
-        )
+    value = computed[i0][j0]
+    diffs = [(i, j) for i, row in enumerate(expected) for j, v in enumerate(row)
+             if computed[i][j] != v]
+    failures = []
+    block_relations("C", TABLE1_CC[known["vertex"]], computed, r,
+                    sigma_of_word(CASE_WORD, len(r)), failures)
+    if diffs == [known["entry"]] and not failures:
         return TableEntry(
             label=f"{known['matrix']} at t{known['vertex']} entry {known['entry']}",
             status="known-discrepancy",
             expected=str(known["printed"]),
-            got=str(recursion_value),
-            note=note,
+            got=str(value),
+            note=(
+                f"recursion gives {value}, transcription says {known['printed']}; "
+                f"block-column sum of the transcribed fine matrix gives {value} "
+                f"and the shifted-entry form gives {value}"
+            ),
         )
     return TableEntry(
         label=f"{known['matrix']} at t{known['vertex']}",
         status="mismatch",
         expected=render_matrix(expected),
         got=render_matrix(computed),
-        note="cross-checks failed to confirm the known entry",
+        note=("disagreement outside the known entry" if diffs != [known["entry"]]
+              else "cross-checks failed to confirm the known entry"),
     )

@@ -26,6 +26,7 @@ from .pattern import (
     ExchangePolynomial,
     GeneralizedSeed,
     check_word,
+    fold_word,
     mutate_B,
     mutate_seed,
     mutate_y_seed,
@@ -53,10 +54,6 @@ def block_offsets(r) -> tuple:
         out.append(acc)
         acc += ri
     return tuple(out)
-
-
-def pseudo_rank(r) -> int:
-    return sum(r)
 
 
 def block_pairs(r):
@@ -115,17 +112,15 @@ def sigma_of_word(word, n: int) -> tuple:
 
 @dataclass(frozen=True)
 class CompositeSeed:
-    """Ordinary seed of pseudo-rank size with block structure and sign tracking.
+    """The degree-one seed on the enlarged matrix, grouped into blocks by r.
 
-    `ordinary` is a degree-one seed over the extended coefficient
-    semifield; `sigma` records mutation parity per block and `Zt` the
-    correspondingly reversed exchange polynomials of the source seed.
+    `ordinary` is a seed of pseudo-rank size sum(r) over the extended
+    coefficient semifield; block i holds its r_i consecutive directions,
+    which mutate together, one whole block at a time.
     """
 
     ordinary: GeneralizedSeed
     r: tuple
-    sigma: tuple
-    Zt: tuple
 
     @property
     def n(self) -> int:
@@ -156,8 +151,7 @@ def composite_mutate(seed: CompositeSeed, k: int) -> CompositeSeed:
 
 def _block_step(seed: CompositeSeed, k: int, mutate) -> CompositeSeed:
     """Apply the ordinary `mutate` to each slot of block k (1-based), in slot order."""
-    n = seed.n
-    if not 1 <= k <= n:
+    if not 1 <= k <= seed.n:
         raise IndexError("direction out of range")
     k0 = k - 1
     offs = block_offsets(seed.r)
@@ -169,19 +163,7 @@ def _block_step(seed: CompositeSeed, k: int, mutate) -> CompositeSeed:
     ordinary = seed.ordinary
     for l in range(seed.r[k0]):
         ordinary = mutate(ordinary, offs[k0] + l + 1)
-    return _flip_block(seed, k0, ordinary)
-
-
-def _flip_block(seed: CompositeSeed, k0: int, ordinary: GeneralizedSeed) -> CompositeSeed:
-    """The composite seed over `ordinary` once block k0 (0-based) has moved.
-
-    Block k0's sign flips and its exchange polynomial is reversed.
-    """
-    sigma = list(seed.sigma)
-    sigma[k0] = -sigma[k0]
-    Zt = list(seed.Zt)
-    Zt[k0] = Zt[k0].reciprocal()
-    return CompositeSeed(ordinary=ordinary, r=seed.r, sigma=tuple(sigma), Zt=tuple(Zt))
+    return CompositeSeed(ordinary, seed.r)
 
 
 def composite_mutate_closed(seed: CompositeSeed, k: int) -> CompositeSeed:
@@ -191,8 +173,7 @@ def composite_mutate_closed(seed: CompositeSeed, k: int) -> CompositeSeed:
     before the block step, so the result must agree with the composed
     elementary mutations whenever the diagonal block vanishes.
     """
-    n = seed.n
-    if not 1 <= k <= n:
+    if not 1 <= k <= seed.n:
         raise IndexError("direction out of range")
     k0 = k - 1
     rk = seed.r[k0]
@@ -252,7 +233,7 @@ def composite_mutate_closed(seed: CompositeSeed, k: int) -> CompositeSeed:
         Z=ordinary.Z,
         B=ExchangeMatrix(new_big.rows, ordinary.B.d),
     )
-    return _flip_block(seed, k0, new_ord)
+    return CompositeSeed(new_ord, seed.r)
 
 
 def _one_oplus(y: SemifieldElement) -> SemifieldElement:
@@ -260,11 +241,7 @@ def _one_oplus(y: SemifieldElement) -> SemifieldElement:
 
 
 def composite_walk(seed: CompositeSeed, word) -> CompositeSeed:
-    word = check_word(word, seed.n)
-    current = seed
-    for k in word:
-        current = composite_mutate(current, k)
-    return current
+    return fold_word(seed, word, composite_mutate)
 
 
 def composite_mutate_y(seed: CompositeSeed, k: int) -> CompositeSeed:
@@ -273,11 +250,7 @@ def composite_mutate_y(seed: CompositeSeed, k: int) -> CompositeSeed:
 
 
 def composite_walk_y(seed: CompositeSeed, word) -> CompositeSeed:
-    word = check_word(word, seed.n)
-    current = seed
-    for k in word:
-        current = composite_mutate_y(current, k)
-    return current
+    return fold_word(seed, word, composite_mutate_y)
 
 
 @dataclass(frozen=True)
@@ -377,8 +350,6 @@ class RealizationLayout:
     gx: tuple
     cx: tuple
     s: tuple
-    e: tuple
-    gens: tuple
 
 
 @dataclass(frozen=True)
@@ -476,9 +447,8 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
     gx_names = [f"x{i + 1}" for i in range(n)]
     cx_names = slot_names("x", r)
     s_names = slot_names("s", r)
-    e_names = slot_names("e", r)
     table = VariableTable(
-        gx_names + cx_names + list(generators) + s_names + e_names
+        gx_names + cx_names + list(generators) + s_names + slot_names("e", r)
     )
 
     offs = block_offsets(r)
@@ -488,10 +458,8 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
             tuple(table.index(nm) for nm in names[offs[i]:offs[i] + r[i]]) for i in range(n)
         )
 
-    gx = tuple(table.index(nm) for nm in gx_names)
-    cx, s_idx, e_idx = by_block(cx_names), by_block(s_names), by_block(e_names)
-    layout = RealizationLayout(gx=gx, cx=cx, s=s_idx, e=e_idx,
-                               gens=tuple(table.index(g) for g in generators))
+    layout = RealizationLayout(gx=tuple(table.index(nm) for nm in gx_names),
+                               cx=by_block(cx_names), s=by_block(s_names))
 
     if kind == "universal":
         base_kind = SemifieldKind.universal(table, generators)
@@ -561,7 +529,7 @@ def initial_composite_seed(g: GeneralizedSeed, layout: RealizationLayout,
     for blocks in (layout.cx, layout.s):
         if len(blocks) != n or any(len(b) != ri for b, ri in zip(blocks, r)):
             raise ValueError("variable-table mismatch")
-    N = pseudo_rank(r)
+    N = sum(r)
     xs = []
     ys = []
     for i in range(n):
@@ -583,4 +551,4 @@ def initial_composite_seed(g: GeneralizedSeed, layout: RealizationLayout,
         Z=(binom,) * N,
         B=big,
     )
-    return CompositeSeed(ordinary=ordinary, r=r, sigma=(1,) * n, Zt=g.Z)
+    return CompositeSeed(ordinary, r)

@@ -178,9 +178,6 @@ class ExchangeMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def symmetrizer(self) -> tuple:
         if self.d is not None:
             return self.d
@@ -390,14 +387,6 @@ def mutate_y_seed(seed: GeneralizedSeed, k: int) -> GeneralizedSeed:
     return _mutate_coefficients(seed, k)[0]
 
 
-def walk_y(seed: GeneralizedSeed, word) -> GeneralizedSeed:
-    word = check_word(word, seed.n)
-    current = seed
-    for k in word:
-        current = mutate_y_seed(current, k)
-    return current
-
-
 def check_word(word, n: int) -> tuple:
     """Validate a reduced tree word of 1-based directions."""
     word = tuple(int(k) for k in word)
@@ -410,13 +399,26 @@ def check_word(word, n: int) -> tuple:
     return word
 
 
+def fold_word(seed, word, step):
+    """Apply `step(seed, k)` along a reduced word, left to right.
+
+    Every walk, generalized or composite, full or coefficient-side only,
+    is this fold with its own step. Each walk names its step when called,
+    never as a default argument, so a step rebound at module level (as
+    tracing does) is the one that runs.
+    """
+    for k in check_word(word, seed.n):
+        seed = step(seed, k)
+    return seed
+
+
 def walk(seed: GeneralizedSeed, word) -> GeneralizedSeed:
-    """Fold mutations along a reduced word, left to right."""
-    word = check_word(word, seed.n)
-    current = seed
-    for k in word:
-        current = mutate_seed(current, k)
-    return current
+    """Mutate along a reduced word, left to right: the fold with `mutate_seed`."""
+    return fold_word(seed, word, mutate_seed)
+
+
+def walk_y(seed: GeneralizedSeed, word) -> GeneralizedSeed:
+    return fold_word(seed, word, mutate_y_seed)
 
 
 def reduced_words(n: int, max_depth: int, include_empty: bool = False):

@@ -513,15 +513,7 @@ class LaurentPolynomial:
         """
         if not mapping:
             return self
-        table = self.table
-        moves = list(mapping.items())
-        table.make_room([t for _, target in moves for t in target])
-        while True:
-            lay = _sync(self)
-            out = _remap_terms(self._d, lay, lay, moves, keep=True)
-            if out is not None:
-                return _poly(table, lay, out)
-            table.widen()
+        return _remap(self, self.table, list(mapping.items()), keep=True)
 
     def transplant(self, target: VariableTable):
         """Re-express this polynomial on another table.
@@ -536,16 +528,10 @@ class LaurentPolynomial:
             unit = [0] * width
             unit[target.index(names[i])] = 1
             moves.append((i, unit))
-        while True:
-            src = _sync(self)
-            dst = target.layout
-            out = _remap_terms(self._d, src, dst, moves, keep=False)
-            if out is not None:
-                break
-            target.widen()
-        if len(out) != len(self._d):
+        out = _remap(self, target, moves, keep=False)
+        if len(out._d) != len(self._d):
             raise ValueError("transplant collapsed distinct monomials")
-        return _poly(target, dst, out)
+        return out
 
     # -- rendering ---------------------------------------------------------
 
@@ -1104,6 +1090,22 @@ def _remap_terms(d: dict, src: KeyLayout, dst: KeyLayout, moves, keep: bool):
     if reduce(or_, out, 0) & dst.guard:
         return None
     return out
+
+
+def _remap(p: "LaurentPolynomial", target: VariableTable, moves, keep: bool):
+    """p under the exponent remap `moves` (see `_remap_terms`), on `target`.
+
+    Widens `target` first for the move vectors, then again each time an
+    image exponent does not fit.
+    """
+    target.make_room([t for _, vec in moves for t in vec])
+    while True:
+        src = _sync(p)
+        dst = target.layout
+        out = _remap_terms(p._d, src, dst, moves, keep)
+        if out is not None:
+            return _poly(target, dst, out)
+        target.widen()
 
 
 class _TermSum:
@@ -2108,14 +2110,7 @@ def cross_evaluate(poly: LaurentPolynomial, assign: dict,
     unit = {i: _as_unit_monomial(v) for i, v in assign.items()}
     if None not in unit.values():
         moves = [(i, unit[i]) for i in idx]
-        target.make_room([t for _, mono in moves for t in mono])
-        while True:
-            src = _sync(poly)
-            dst = target.layout
-            out = _remap_terms(poly._d, src, dst, moves, keep)
-            if out is not None:
-                return RationalFunction.from_poly(_poly(target, dst, out))
-            target.widen()
+        return RationalFunction.from_poly(_remap(poly, target, moves, keep))
     total = RationalFunction.zero(target)
     for exps, rest in split_terms(poly, idx).items():
         value = RationalFunction.from_poly(rest if keep else rest.transplant(target))

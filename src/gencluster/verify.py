@@ -190,12 +190,12 @@ def check_cg_relations(B: ExchangeMatrix, r, word) -> CheckReport:
     ce = CompositeInvariants(B, r, track_f=False).walk(word)
     sig = sigma_of_word(word, B.n)
     failures = []
-    tested = _block_relations("C", ce.C, ge.C, r, sig, failures)
-    tested += _block_relations("G", list(zip(*ce.G)), list(zip(*ge.G)), r, sig, failures)
+    tested = block_relations("C", ce.C, ge.C, r, sig, failures)
+    tested += block_relations("G", list(zip(*ce.G)), list(zip(*ge.G)), r, sig, failures)
     return _report("cg-relations", word, failures, tested, started)
 
 
-def _block_relations(label, fine, coarse, r, sig, failures) -> int:
+def block_relations(label, fine, coarse, r, sig, failures) -> int:
     """The relations between a composite matrix and its generalized one.
 
     In block (i, j) of `fine` every column sums to coarse[i][j], every row

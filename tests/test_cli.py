@@ -107,6 +107,19 @@ def test_mutate_output_is_pinned(capsys, tmp_path, seed, digest):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("case, digest", [
+    ("1", "f9f2bb85ca7c8ab4cd9caed8c9ba843c92f8e6a85b47c40af58f46ea92541ef2"),
+    ("2", "9688ad31f3304e1670016c2419cee66d68e41494e9b276423042be9ab58a949a"),
+])
+def test_table_output_is_pinned(capsys, case, digest):
+    # sha256 of the whole default output of `table --case N`; case 1
+    # carries the known-discrepancy note
+    assert main(["table", "--case", case]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
 def test_mutate_rejects_non_reduced_word(capsys):
     assert main(["mutate", "--seed", "case1", "--word", "1,1"]) == 2
     assert "non-reduced word" in capsys.readouterr().err
