@@ -269,6 +269,9 @@ def cmd_invariants(args) -> int:
     word = _parse_csv_word(args.word)
     pattern = args.pattern
     what = [w.strip() for w in args.what.split(",") if w.strip()]
+    # an empty list would print nothing and still exit 0
+    if not what:
+        raise SeedDocumentError("--what names no invariant: expected a comma list from c,g,f")
     for w in what:
         if w not in ("c", "g", "f"):
             raise SeedDocumentError(f"unknown invariant {w!r}: expected c, g or f")

@@ -421,9 +421,9 @@ def walk_y(seed: GeneralizedSeed, word) -> GeneralizedSeed:
     return fold_word(seed, word, mutate_y_seed)
 
 
-def reduced_words(n: int, max_depth: int, include_empty: bool = False):
-    """All reduced words over n directions up to the given depth."""
-    out = [()] if include_empty else []
+def reduced_words(n: int, max_depth: int):
+    """All nonempty reduced words over n directions up to the given depth."""
+    out = []
     frontier = [()]
     for _ in range(max_depth):
         nxt = []

@@ -1812,59 +1812,12 @@ class ElementarySymbols:
     orbits: dict = field(default_factory=dict, compare=False, repr=False)
     expansions: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def reduce_blocks(self):
-        return [(b.s_idx, b.e_idx) for b in self.blocks]
-
     def target_assignment(self):
         assign = {}
         for b in self.blocks:
             for e_i, value in zip(b.e_idx, b.targets):
                 assign[e_i] = value
         return assign
-
-
-def _clear_s_content(p: LaurentPolynomial, symbols: ElementarySymbols):
-    """p without its content in each s-variable, and the exponent shift that took it."""
-    content = p.monomial_content()
-    shift = [0] * len(p.table)
-    for b in symbols.blocks:
-        for i in b.s_idx:
-            shift[i] = -content[i]
-    return (p.shift(shift) if any(shift) else p), shift
-
-
-def _split_s_content(p: LaurentPolynomial, symbols: ElementarySymbols):
-    """Factor out the s-monomial content, requiring equal exponents per block.
-
-    Returns the content-free part; the content itself maps to 1 under the
-    substitution (each block contributes a power of the full block product).
-    """
-    p, shift = _clear_s_content(p, symbols)
-    if any(len({shift[i] for i in b.s_idx}) > 1 for b in symbols.blocks):
-        raise PsiDomainError("not in domain of psi_hat")
-    return p
-
-
-def _domain_e_form(p: LaurentPolynomial, blocks, symbols: ElementarySymbols) -> LaurentPolynomial:
-    """`_e_form` over `blocks` on the symbols' caches, in psi_hat's domain."""
-    try:
-        return _e_form(p, blocks, symbols.cache, symbols.expansions)
-    except NotBlockSymmetricError:
-        raise PsiDomainError("not in domain of psi_hat") from None
-
-
-def symmetric_e_form(p: LaurentPolynomial, symbols: ElementarySymbols) -> LaurentPolynomial:
-    """Content-cleared rewriting of p in the elementary symbols."""
-    return _domain_e_form(_split_s_content(p, symbols), symbols.reduce_blocks(), symbols)
-
-
-def _part_image(p: LaurentPolynomial, symbols: ElementarySymbols,
-                require_nonneg: bool) -> RationalFunction:
-    """Image of one fraction part: its e-form, certified if asked, at the targets."""
-    form = symmetric_e_form(p, symbols)
-    if require_nonneg and any(c < 0 for c in form.coefficients()):
-        raise PsiConeError("not in domain of psi_hat")
-    return cross_evaluate(form, symbols.target_assignment(), form.table)
 
 
 def _free_slots(poly: LaurentPolynomial, symbols: ElementarySymbols, size: int):
@@ -1941,22 +1894,26 @@ def _norm(g: LaurentPolynomial, u: int, e_idx) -> LaurentPolynomial:
 def _orbit_norm(poly: LaurentPolynomial, slots: dict, symbols: ElementarySymbols) -> LaurentPolynomial:
     """e-form of the orbit product of poly, a norm per block with a free slot.
 
-    poly, cleared of its s-content (`_clear_s_content`, as for the orbit
-    product), is rewritten in e-symbols over every block; a block b with a
-    free slot u = s_d (`_free_slots`) counts as its sub-block b - d, with
+    poly, cleared of its content in each s-variable (which maps to 1),
+    is rewritten in e-symbols over every block; a block b with a free
+    slot u = s_d (`_free_slots`) counts as its sub-block b - d, with
     the first r_b - 1 e-symbols of b standing for the e'_j of b - d. One
     `cross_evaluate` substitutes e'_j = e_j - u e'_(j-1) for them, leaving
     g(u) over Q[e], and the orbit product over b is the norm of g
-    (`_norm`), taken block by block.
+    (`_norm`), taken block by block. With no slots, poly is itself the
+    orbit product and this is its e-form.
     """
     table = poly.table
     # the top symbols stay e-symbols of U, unseen by the sub-block e-form
     if poly.support_vars().intersection(symbols.blocks[n].e_idx[-1] for n in slots):
         raise ValueError("input already mentions an elementary symbol")
-    poly = _clear_s_content(poly, symbols)[0]
+    content = poly.monomial_content()
+    shift = [0] * len(table)
     blocks = []
     assign = {}
     for n, b in enumerate(symbols.blocks):
+        for i in b.s_idx:
+            shift[i] = -content[i]
         a = slots.get(n)
         if a is None:
             blocks.append((b.s_idx, b.e_idx))
@@ -1971,7 +1928,12 @@ def _orbit_norm(poly: LaurentPolynomial, slots: dict, symbols: ElementarySymbols
                     table, {u: k, b.e_idx[j - k - 1]: 1}, (-1) ** k
                 )
             assign[b.e_idx[j - 1]] = RationalFunction.from_poly(value)
-    form = _domain_e_form(poly, blocks, symbols)
+    if any(shift):
+        poly = poly.shift(shift)
+    try:
+        form = _e_form(poly, blocks, symbols.cache, symbols.expansions)
+    except NotBlockSymmetricError:
+        raise PsiDomainError("not in domain of psi_hat") from None
     if assign:
         form = cross_evaluate(form, assign, table).num
     for n, a in slots.items():
@@ -1985,11 +1947,11 @@ def _orbit_e_form(poly: LaurentPolynomial, exp: int, remaining: dict,
     """The orbit of a factor under the block transpositions, and its product's e-form.
 
     Returns (member keys, e-form, signed), where `signed` tells whether the
-    e-form has a negative coefficient, or None when some member is missing
-    from `remaining` or has an exponent other than `exp`. An orbit with a
-    free slot per block (`_free_slots`), or of one member, gets its e-form
-    as a norm (`_orbit_norm`) without multiplying the members out; any
-    other orbit rewrites its expanded product. An entry is kept
+    e-form has a negative coefficient; raises PsiDomainError when some
+    member is missing from `remaining` or has an exponent other than `exp`.
+    Every e-form is an `_orbit_norm`: of one member with its free slot per
+    block (`_free_slots`; none for an orbit of one), without multiplying
+    the members out, else of the expanded product. An entry is kept
     in `symbols.orbits` under the table's layout and the packed key of each
     member, so after the table widens a lookup misses instead of finding
     another polynomial's entry.
@@ -2015,20 +1977,43 @@ def _orbit_e_form(poly: LaurentPolynomial, exp: int, remaining: dict,
                         frontier.append(img)
         members = tuple(seen)
     if any(k not in remaining or remaining[k][1] != exp for k in members):
-        return None
+        raise PsiDomainError("not in domain of psi_hat")
     if entry is None:
         slots = _free_slots(poly, symbols, len(members))
-        if slots is not None:
-            form = _orbit_norm(poly, slots, symbols)
-        else:
-            product = LaurentPolynomial.one(table)
+        if slots is None:
+            slots = {}
+            poly = LaurentPolynomial.one(table)
             for member in seen.values():
-                product = product * member
-            form = symmetric_e_form(product, symbols)
+                poly = poly * member
+        form = _orbit_norm(poly, slots, symbols)
         entry = (members, form, any(c < 0 for c in form.coefficients()))
         for k in members:
             symbols.orbits[(lay, k)] = entry
     return entry
+
+
+def _orbit_images(ff: "FactoredFraction", symbols: ElementarySymbols,
+                  require_nonneg: bool) -> "FactoredFraction":
+    """`psi_hat_factored`'s loop; raises PsiDomainError where it falls back."""
+    remaining = dict(ff.factors)
+    out = FactoredFraction.one(ff.table)
+    assign = symbols.target_assignment()
+    while remaining:
+        poly, exp = next(iter(remaining.values()))
+        members, form, signed = _orbit_e_form(poly, exp, remaining, symbols)
+        if require_nonneg and signed:
+            raise PsiConeError("not in domain of psi_hat")
+        for k in members:
+            del remaining[k]
+        value = cross_evaluate(form, assign, form.table)
+        if value.is_zero():
+            raise PsiKernelError(
+                "denominator in kernel of psi_hat"
+                if exp < 0
+                else "factor image vanishes under psi_hat"
+            )
+        out = out * FactoredFraction.from_ratfn(value) ** exp
+    return out
 
 
 def psi_hat_factored(ff: "FactoredFraction", symbols: ElementarySymbols,
@@ -2044,53 +2029,28 @@ def psi_hat_factored(ff: "FactoredFraction", symbols: ElementarySymbols,
     orbit's e-form is certified, whatever its size; the cone is closed
     under products, so that certifies the fraction. An orbit that is not
     complete, or whose e-form leaves the cone, sends the whole fraction
-    down the expanded route `psi_hat(ff.expand(), ...)`, which certifies
-    its numerator and denominator or raises PsiConeError. The result stays
-    factored, one factor per orbit image.
+    once more through the same loop as `from_ratfn(ff.expand())`, whose
+    numerator and denominator are each an orbit of one: a part that is
+    not block-symmetric raises PsiDomainError, a signed one PsiConeError.
+    The result stays factored, one factor per orbit image.
     """
-    remaining = dict(ff.factors)
-    out = FactoredFraction.one(ff.table)
-    assign = symbols.target_assignment()
-    while remaining:
-        poly, exp = next(iter(remaining.values()))
-        orbit = _orbit_e_form(poly, exp, remaining, symbols)
-        if orbit is None:
-            break
-        members, form, signed = orbit
+    try:
+        return _orbit_images(ff, symbols, require_nonneg)
+    except PsiDomainError:
         # an orbit can leave the cone while the whole fraction is in it
-        if require_nonneg and signed:
-            break
-        for k in members:
-            del remaining[k]
-        value = cross_evaluate(form, assign, form.table)
-        if value.is_zero():
-            raise PsiKernelError(
-                "denominator in kernel of psi_hat"
-                if exp < 0
-                else "factor image vanishes under psi_hat"
-            )
-        out = out * FactoredFraction.from_ratfn(value) ** exp
-    else:
-        return out
-    return FactoredFraction.from_ratfn(psi_hat(ff.expand(), symbols, require_nonneg))
+        return _orbit_images(FactoredFraction.from_ratfn(ff.expand()), symbols, require_nonneg)
 
 
 def psi_hat(f: RationalFunction, symbols: ElementarySymbols,
             require_nonneg: bool = False) -> RationalFunction:
     """Eliminate splitting variables through the elementary-symbol targets.
 
-    Both parts of the fraction are cleared of s-monomial content, rewritten
-    in the elementary symbols class by class, and evaluated at the block
-    targets (top symbol to 1). `require_nonneg` additionally insists that
-    both rewritten parts have nonnegative integer coefficients, the domain
-    condition of the semifield-level map; it is checked at every size and
-    raises PsiConeError when it fails.
+    `psi_hat_factored` of f's numerator and denominator, multiplied out.
+    `require_nonneg` certifies both e-forms nonnegative, the domain of the
+    semifield-level map, or raises PsiConeError; a part that maps to 0
+    raises PsiKernelError.
     """
-    num = _part_image(f.num, symbols, require_nonneg)
-    den = _part_image(f.den, symbols, require_nonneg)
-    if den.is_zero():
-        raise PsiKernelError("denominator in kernel of psi_hat")
-    return num / den
+    return psi_hat_factored(FactoredFraction.from_ratfn(f), symbols, require_nonneg).expand()
 
 
 def cross_evaluate(poly: LaurentPolynomial, assign: dict,

@@ -629,10 +629,9 @@ def random_instance(rng: random.Random, nmax: int = 3, rmax: int = 3, bmax: int 
     return random_exchange_matrix(rng, n, bmax), r
 
 
-def random_word(rng: random.Random, n: int, depth: int, exact: bool = False) -> tuple:
-    length = depth if exact else rng.randint(1, depth)
+def random_word(rng: random.Random, n: int, depth: int) -> tuple:
     word = []
-    for _ in range(length):
+    for _ in range(rng.randint(1, depth)):
         choices = [k for k in range(1, n + 1) if not word or word[-1] != k]
         word.append(rng.choice(choices))
     return tuple(word)
@@ -645,11 +644,11 @@ def random_realization(rng: random.Random, nmax: int = 3, rmax: int = 3,
 
 
 def random_generalized_seed(rng: random.Random, nmax: int = 3, rmax: int = 3,
-                            bmax: int = 2, kinds=("universal", "tropical", "trivial")):
+                            bmax: int = 2):
     """Standalone random seed over its own small table, mixing semifield kinds."""
     B, r = random_instance(rng, nmax, rmax, bmax)
     n = B.n
-    kind_name = rng.choice(kinds)
+    kind_name = rng.choice(("universal", "tropical", "trivial"))
     if kind_name == "universal":
         gens = coefficient_names(r)
     elif kind_name == "tropical":

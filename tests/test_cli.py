@@ -141,6 +141,15 @@ def test_invariants_composite_polynomials(capsys):
     assert "F_c[2,1] = 1 + y21 + y11*y21 + y12*y21 + y11*y12*y21" in out
 
 
+@pytest.mark.parametrize("what", ["", ",", " , "])
+def test_invariants_rejects_empty_what(capsys, what):
+    # no invariant named would print nothing and exit 0
+    assert main(["invariants", "--seed", "case2", "--what", what]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--what" in captured.err
+
+
 def test_verify_unknown_check(capsys):
     assert main(["verify", "--seed", "case1", "--check", "bogus"]) == 2
     err = capsys.readouterr().err

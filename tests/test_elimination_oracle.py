@@ -29,7 +29,6 @@ from gencluster.polyring import (
     elementary_reduce,
     psi_hat,
     psi_hat_factored,
-    symmetric_e_form,
 )
 from gencluster.verify import check_x_realization, check_y_realization
 
@@ -218,8 +217,15 @@ def _orbit_entry(poly, members, symbols, exp=1):
 
 
 def _expanded_e_form(members, symbols):
-    """The expanded route: the e-form of the multiplied-out orbit product."""
-    return symmetric_e_form(reduce(mul, members), symbols)
+    """The expanded route: the e-form of the multiplied-out orbit product.
+
+    Its s-content is cleared first, as the content maps to 1.
+    """
+    product = reduce(mul, members)
+    content = product.monomial_content()
+    s_idx = {i for b in symbols.blocks for i in b.s_idx}
+    product = product.shift([-c if i in s_idx else 0 for i, c in enumerate(content)])
+    return elementary_reduce(product, [(b.s_idx, b.e_idx) for b in symbols.blocks])
 
 
 def _one_block_symbols(r):
@@ -368,8 +374,7 @@ def test_case2_orbit_norms_match_the_expanded_route(monkeypatch):
 
     def recorded(poly, exp, remaining, symbols):
         entry = orbit_e_form(poly, exp, remaining, symbols)
-        if entry is not None:
-            seen[id(entry)] = (entry, [remaining[k][0] for k in entry[0]], exp)
+        seen[id(entry)] = (entry, [remaining[k][0] for k in entry[0]], exp)
         return entry
 
     monkeypatch.setattr(polyring, "_orbit_e_form", recorded)
@@ -403,15 +408,16 @@ def test_other_orbit_shapes_take_the_expanded_route(monkeypatch):
     assert len(members) == 2
     assert polyring._free_slots(f, symbols, len(members)) is None
     expanded = []
-    e_form = polyring.symmetric_e_form
+    orbit_norm = polyring._orbit_norm
 
-    def counted(*args):
-        expanded.append(args)
-        return e_form(*args)
+    def counted(poly, slots, symbols):
+        expanded.append((poly, slots))
+        return orbit_norm(poly, slots, symbols)
 
-    monkeypatch.setattr(polyring, "symmetric_e_form", counted)
+    monkeypatch.setattr(polyring, "_orbit_norm", counted)
     form = _orbit_entry(f, members, symbols)[1]
-    assert len(expanded) == 1
+    # one call, on the expanded product as an orbit of one
+    assert expanded == [(reduce(mul, members), {})]
     want, rem, _ = symmetrize(
         sympy.expand(reduce(mul, (_to_sympy(m, syms) for m in members))),
         [syms[i] for i in BLOCK2[0]], formal=True, symbols=[syms[i] for i in BLOCK2[1]],
@@ -431,7 +437,7 @@ def test_other_orbit_shapes_take_the_expanded_route(monkeypatch):
     assert len(members) == 2
     assert polyring._free_slots(d, symbols2, len(members)) is None
     assert _orbit_entry(d, members, symbols2)[1] == elementary_reduce(reduce(mul, members), blocks2)
-    assert len(expanded) == 2
+    assert expanded[1] == (reduce(mul, members), {})
     # a member that is not symmetric in the slots its free slot leaves
     g = s21 * s21 * s22 + s23
     with pytest.raises(PsiDomainError):

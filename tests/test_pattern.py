@@ -364,7 +364,6 @@ def test_reduced_words_enumeration():
     words = reduced_words(2, 3)
     assert len(words) == 6
     assert (1, 2, 1) in words and (2, 1, 2) in words
-    assert reduced_words(2, 3, include_empty=True)[0] == ()
 
 
 def test_exchange_polynomial_render_and_reciprocal():

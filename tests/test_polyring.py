@@ -7,7 +7,9 @@ from gencluster.polyring import (
     FactoredFraction,
     LaurentPolynomial,
     NotBlockSymmetricError,
+    PsiConeError,
     PsiDomainError,
+    PsiKernelError,
     RationalFunction,
     SymbolBlock,
     VariableTable,
@@ -322,6 +324,47 @@ def test_psi_hat_factored_matches_expanded():
     assert psi_hat_factored(ff, symbols) == FactoredFraction.from_ratfn(
         psi_hat(ff.expand(), symbols)
     )
+
+
+def test_psi_hat_is_the_factored_map_of_two_factors():
+    # s11 and s12 alone are an incomplete orbit, so the factored map takes
+    # the numerator and denominator as orbits of one
+    table = _split_table()
+    symbols = _symbols_two(table)
+    s11 = LaurentPolynomial.variable(table, "s11")
+    s12 = LaurentPolynomial.variable(table, "s12")
+    f = RationalFunction(s11 * s11 + s12 * s12, s11 * s12)
+    image = psi_hat(f, symbols)
+    assert image == psi_hat_factored(FactoredFraction.from_ratfn(f), symbols).expand()
+    # (e1^2 - 2 e2) / e2 at e1 = z, e2 = 1
+    z = LaurentPolynomial.variable(table, "z")
+    assert image == RationalFunction.from_poly(z * z - LaurentPolynomial.constant(table, 2))
+
+
+def test_psi_hat_certifies_the_cone():
+    # s11^2 + s12^2 = e1^2 - 2 e2 is symmetric but signed
+    table = _split_table()
+    symbols = _symbols_two(table)
+    s11 = LaurentPolynomial.variable(table, "s11")
+    s12 = LaurentPolynomial.variable(table, "s12")
+    f = RationalFunction.from_poly(s11 * s11 + s12 * s12)
+    z = LaurentPolynomial.variable(table, "z")
+    assert psi_hat(f, symbols) == RationalFunction.from_poly(
+        z * z - LaurentPolynomial.constant(table, 2)
+    )
+    with pytest.raises(PsiConeError):
+        psi_hat(f, symbols, require_nonneg=True)
+
+
+def test_psi_hat_numerator_in_kernel():
+    # s11 + s12 - z = e1 - z vanishes at e1 = z
+    table = _split_table()
+    symbols = _symbols_two(table)
+    s11 = LaurentPolynomial.variable(table, "s11")
+    s12 = LaurentPolynomial.variable(table, "s12")
+    z = LaurentPolynomial.variable(table, "z")
+    with pytest.raises(PsiKernelError):
+        psi_hat(RationalFunction.from_poly(s11 + s12 - z), symbols)
 
 
 def test_factored_fraction_cancels_and_compares():
