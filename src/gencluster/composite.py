@@ -11,6 +11,7 @@ elementary symbol substitution that maps one back onto the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .polyring import (
     ElementarySymbols,
@@ -66,39 +67,24 @@ def enlarge(B: ExchangeMatrix, r) -> ExchangeMatrix:
     if len(r) != B.n or any(v < 1 for v in r):
         raise ValueError("degree mismatch")
     rows = []
-    for i, ri in enumerate(r):
-        row = []
-        for j, rj in enumerate(r):
-            row.extend([B.rows[i][j]] * rj)
-        rows.extend([tuple(row)] * ri)
-    d = None
-    if B.d is not None:
-        d = tuple(B.d[i] for i, ri in enumerate(r) for _ in range(ri))
+    for row, ri in zip(B.rows, r):
+        rows.extend([tuple(chain.from_iterable(map(repeat, row, r)))] * ri)
+    d = None if B.d is None else tuple(chain.from_iterable(map(repeat, B.d, r)))
     return ExchangeMatrix(tuple(rows), d)
 
 
 def read_block_matrix(big: ExchangeMatrix, r) -> ExchangeMatrix:
     """Recover the block-constant core of an enlarged matrix.
 
-    Raises if any block is not constant, which only happens away from
-    composite vertices.
+    Each block's first entry is read; the core enlarges back to `big`
+    unless some block is not constant, which only happens away from
+    composite vertices, and then this raises.
     """
     offs = block_offsets(r)
-    n = len(r)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vals = {
-                big.rows[offs[i] + a][offs[j] + b]
-                for a in range(r[i])
-                for b in range(r[j])
-            }
-            if len(vals) != 1:
-                raise ValueError("matrix is not block-constant")
-            row.append(vals.pop())
-        rows.append(tuple(row))
-    return ExchangeMatrix(tuple(rows))
+    core = ExchangeMatrix(tuple(tuple(big.rows[i][j] for j in offs) for i in offs))
+    if enlarge(core, r).rows != big.rows:
+        raise ValueError("matrix is not block-constant")
+    return core
 
 
 def sigma_of_word(word, n: int) -> tuple:
@@ -205,7 +191,7 @@ def composite_mutate_closed(seed: CompositeSeed, k: int) -> CompositeSeed:
     for l in range(rk):
         ykl = ordinary.y[offs[k0] + l]
         block_prod = ykl if block_prod is None else sf_mul(block_prod, ykl)
-        one_plus = _one_oplus(ykl)
+        one_plus = sf_add(SemifieldElement.one(ykl.kind), ykl)
         block_spec = one_plus if block_spec is None else sf_mul(block_spec, one_plus)
 
     new_y = list(ordinary.y)
@@ -234,10 +220,6 @@ def composite_mutate_closed(seed: CompositeSeed, k: int) -> CompositeSeed:
         B=ExchangeMatrix(new_big.rows, ordinary.B.d),
     )
     return CompositeSeed(new_ord, seed.r)
-
-
-def _one_oplus(y: SemifieldElement) -> SemifieldElement:
-    return sf_add(SemifieldElement.one(y.kind), y)
 
 
 def composite_walk(seed: CompositeSeed, word) -> CompositeSeed:
@@ -533,13 +515,12 @@ def initial_composite_seed(g: GeneralizedSeed, layout: RealizationLayout,
     xs = []
     ys = []
     for i in range(n):
-        for l in range(r[i]):
-            xs.append(
-                FactoredFraction.variable(table, table.names[layout.cx[i][l]])
-            )
-            split = RationalFunction.variable(table, table.names[layout.s[i][l]])
-            value = split * g.y[i].as_ratfn(table)
-            ys.append(SemifieldElement.universal(ext_kind, value))
+        # y_i s_il: the slot's split variable shifts the numerator of y_i
+        y = g.y[i].as_ratfn(table)
+        for cx, s in zip(layout.cx[i], layout.s[i]):
+            xs.append(FactoredFraction.variable(table, table.names[cx]))
+            split = y.num.shift([int(v == s) for v in range(len(table))])
+            ys.append(SemifieldElement.universal(ext_kind, RationalFunction(split, y.den)))
     big = enlarge(g.B, r)
     binom = ExchangePolynomial.binomial(ext_kind)
     ordinary = GeneralizedSeed(

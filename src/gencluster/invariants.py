@@ -13,6 +13,8 @@ rebuild cluster variables and coefficients from the invariants.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .polyring import (
     FactoredFraction,
     LaurentPolynomial,
@@ -120,12 +122,12 @@ class _InvariantWalk:
             if new_Ff is None:
                 raise ArithmeticError("polynomial recursion step is not exactly divisible")
 
+        # g'_if = -g_if + r_f (sum_a g_ia [-b_af]+ - sum_a b0_ia [-c_af]+)
+        negB = [-row[f] if row[f] < 0 else 0 for row in B]
+        negC = [-row[f] if row[f] < 0 else 0 for row in C]
         newG = [row[:] for row in G]
-        for i in range(n):
-            acc = -G[i][f]
-            for a in range(n):
-                acc += rf * (G[i][a] * pos(-B[a][f]) - self.B0[i][a] * pos(-C[a][f]))
-            newG[i][f] = acc
+        for row, b0 in zip(newG, self.B0):
+            row[f] = rf * (sum(map(mul, row, negB)) - sum(map(mul, b0, negC))) - row[f]
 
         # C is the lower half of the extended exchange matrix [B; C]
         BC = mutate_B(ExchangeMatrix(tuple(B) + tuple(C)), self.degrees, f + 1).rows

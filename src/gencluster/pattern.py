@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
+from operator import neg
 
 from .polyring import (
     FactoredFraction,
-    LaurentPolynomial,
+    RationalFunction,
     VariableTable,
 )
 from .semifield import (
@@ -162,7 +163,7 @@ class ExchangeMatrix:
 
     @classmethod
     def from_rows(cls, rows, d=None):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -170,7 +171,7 @@ class ExchangeMatrix:
         if d is not None:
             if len(d) != n or any(v != int(v) or v <= 0 for v in d):
                 raise ValueError("symmetrizer must be positive integers of matching size")
-            d = tuple(int(v) for v in d)
+            d = tuple(map(int, d))
             _check_skew(rows, d)
         return cls(rows, d)
 
@@ -203,8 +204,10 @@ def mutate_B(B: ExchangeMatrix, r, k: int) -> ExchangeMatrix:
 
     `B` may be an extended matrix: m >= n rows over n columns, the
     exchange matrix on top and further rows, such as a C-matrix, below.
-    Every row mutates by the same rule, which reads only row k of the
-    top block (Fomin-Zelevinsky, Cluster algebras IV).
+    Every row mutates by the rule of Fomin-Zelevinsky (Cluster algebras
+    IV), which reads only row k of the top block: row k changes sign; row
+    i adds |b_ik| times the positive (b_ik > 0) or negative (b_ik < 0)
+    part of r_k times row k, then negates its entry k; if b_ik = 0 it stays.
     """
     rows = B.rows
     n = len(rows[0])
@@ -212,18 +215,18 @@ def mutate_B(B: ExchangeMatrix, r, k: int) -> ExchangeMatrix:
         raise IndexError("direction out of range")
     k0 = k - 1
     rk = r[k0]
+    top = rows[k0]
+    plus = [rk * v if v > 0 else 0 for v in top]
+    minus = [rk * v if v < 0 else 0 for v in top]
     out = []
-    for i in range(len(rows)):
-        new_row = []
-        for j in range(n):
-            if i == k0 or j == k0:
-                new_row.append(-rows[i][j])
-            else:
-                new_row.append(
-                    rows[i][j]
-                    + rk * (rows[i][k0] * pos(rows[k0][j]) + pos(-rows[i][k0]) * rows[k0][j])
-                )
-        out.append(tuple(new_row))
+    for row in rows:
+        b = row[k0]
+        if b:
+            t = abs(b)
+            row = [v + t * p for v, p in zip(row, plus if b > 0 else minus)]
+            row[k0] = -b
+        out.append(tuple(row))
+    out[k0] = tuple(map(neg, top))
     return ExchangeMatrix(tuple(out), B.d)
 
 
@@ -348,24 +351,28 @@ def _mutated_variable(seed: GeneralizedSeed, k0: int, rk: int,
         if e:
             mult = mult * seed.x[j] ** e
 
-    coeff_rfs = [None if c.is_zero() else c.as_ratfn(table) for c in Zk.coeffs]
+    # the endpoint coefficients are 1 (ExchangePolynomial is monic)
+    unit = RationalFunction.one(table)
+    coeff_rfs = [unit if l in (0, rk) else None if c.is_zero() else c.as_ratfn(table)
+                 for l, c in enumerate(Zk.coeffs)]
     dens = {l: c.den for l, c in enumerate(coeff_rfs) if c is not None and not c.den.is_one()}
     A, Bq = hat.expand_parts()
-    a_pows = [LaurentPolynomial.one(table)]
-    b_pows = [LaurentPolynomial.one(table)]
-    for _ in range(rk):
+    # None stands for the power 0: a product by 1 would still pass over
+    # every term of the other side
+    a_pows, b_pows = [None, A], [None, Bq]
+    for _ in range(rk - 1):
         a_pows.append(a_pows[-1] * A)
         b_pows.append(b_pows[-1] * Bq)
-    znum = LaurentPolynomial.zero(table)
+    znum = None
     for l, c in enumerate(coeff_rfs):
         if c is None:
             continue
-        term = a_pows[l] * b_pows[rk - l]
-        # a product by 1 would still pass over every term of the other side
+        a, b = a_pows[l], b_pows[rk - l]
+        term = b if a is None else a if b is None else a * b
         for factor in [c.num, *(d for m, d in dens.items() if m != l)]:
             if not factor.is_one():
                 term = term * factor
-        znum = znum + term
+        znum = term if znum is None else znum + term
     out = (
         seed.x[k0].inverse()
         * mult ** rk
@@ -389,7 +396,7 @@ def mutate_y_seed(seed: GeneralizedSeed, k: int) -> GeneralizedSeed:
 
 def check_word(word, n: int) -> tuple:
     """Validate a reduced tree word of 1-based directions."""
-    word = tuple(int(k) for k in word)
+    word = tuple(map(int, word))
     for k in word:
         if not 1 <= k <= n:
             raise ValueError("direction out of range")

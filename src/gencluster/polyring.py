@@ -93,8 +93,8 @@ class KeyLayout:
         self.mask = (1 << bits) - 1
         self.shifts = tuple(bits * (n - 1 - i) for i in range(n))
         self.units = tuple(1 << s for s in self.shifts)
-        self.zero = sum(self.bias << s for s in self.shifts)
-        self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
+        self.zero = self.bias * sum(self.units)
+        self.guard = sum(self.units) << (bits - 1)
 
     def pack(self, exps) -> int:
         key = self.zero
@@ -314,8 +314,13 @@ class LaurentPolynomial:
         """Indices of variables appearing with a nonzero exponent."""
         lay = self._lay
         used = reduce(or_, map(lay.zero.__xor__, self._d), 0)
-        mask = lay.mask
-        return {i for i, s in enumerate(lay.shifts) if (used >> s) & mask}
+        out = set()
+        # the highest field left in `used` first, then clear it and all above
+        while used:
+            i = lay.n - 1 - (used.bit_length() - 1) // lay.bits
+            out.add(i)
+            used &= lay.units[i] - 1
+        return out
 
     def coefficients(self):
         """The nonzero coefficients, in term order."""
@@ -466,8 +471,8 @@ class LaurentPolynomial:
         """Exact quotient self / divisor, or None if the division fails.
 
         A one-term divisor is a key shift (and a divmod per term unless its
-        coefficient is a unit). Divisions of at least _PACKED_DIV_MIN_PAIRS
-        term pairs try the packed-coefficient quotient (`_div_packed`): one
+        coefficient is a unit). Large divisions (`_div` routes them) try
+        the packed-coefficient quotient (`_div_packed`): one
         variable is made dense, each group of terms sharing the other
         exponents is one big int, and the division runs over groups. It
         returns a quotient only with its slot-bound certificate and
@@ -588,14 +593,19 @@ class TermsView(Mapping):
 # Term pairs from which a product of two multi-term operands tries the
 # packed-coefficient route; below it the schoolbook loop is faster.
 _PACKED_MIN_PAIRS = 4096
+# Fewest terms of each factor of a packed product, or of q and b in a packed
+# a / b = q: fewer pairs per term do not repay packing. On case2 (2-core
+# x86-64, CPython 3.11) 9 x 906 takes 5.4 ms packed, 3.9 ms schoolbook.
+_PACKED_MIN_TERMS = 16
 
 
 def _mul_terms(a: dict, b: dict, lay: KeyLayout) -> dict:
     """Product of two packed term dicts.
 
     A one-term operand is a key shift; products of at least
-    _PACKED_MIN_PAIRS term pairs try `_mul_packed`, and everything else
-    (and every product it declines) runs the schoolbook loop.
+    _PACKED_MIN_PAIRS term pairs and _PACKED_MIN_TERMS terms a side try
+    `_mul_packed`, and everything else (and every product it declines) runs
+    the schoolbook loop.
     Raises _FieldOverflow when some product exponent leaves its field.
     """
     if not a or not b:
@@ -610,7 +620,7 @@ def _mul_terms(a: dict, b: dict, lay: KeyLayout) -> dict:
         else:
             out = {kb + ka: cb * ca for kb, cb in b.items()}
         return _check_fields(out, lay) if ka else out
-    if len(a) * len(b) >= _PACKED_MIN_PAIRS:
+    if len(a) * len(b) >= _PACKED_MIN_PAIRS and len(a) >= _PACKED_MIN_TERMS:
         out = _mul_packed(a, b, lay)
         if out is not None:
             return out
@@ -793,9 +803,8 @@ def _decode_into(out: dict, key: int, v: int, step: int, w: int) -> int:
 # Measured on the case2 divisions (2-core x86-64, CPython 3.11), the heap
 # is as fast or faster up to 5,414 / 5 (27k pairs: 11-15 against 15 ms with
 # the field choice) and the packed route wins from 2,194 / 20 (44k pairs:
-# 7 against 9 ms); 79,206 / 20 takes 0.2-0.25 s against 0.57-0.74 s. A
-# large divisor with a tiny quotient still loses (3,483 / 906, 9 quotient
-# terms: 15 against 4 ms).
+# 7 against 9 ms); 79,206 / 20 takes 0.2-0.25 s against 0.57-0.74 s.
+# 3,483 / 906 (9 quotient terms) takes 16 ms packed, 4 ms on the heap.
 _PACKED_DIV_MIN_PAIRS = 32768
 
 
@@ -803,14 +812,16 @@ def _div(a: dict, b: dict, lay: KeyLayout):
     """Exact quotient of packed term dicts, or None; see exact_div.
 
     A one-term divisor is a key shift. Divisions of at least
-    _PACKED_DIV_MIN_PAIRS dividend-divisor term pairs try `_div_packed` on the
+    _PACKED_DIV_MIN_PAIRS dividend-divisor term pairs, with _PACKED_MIN_TERMS
+    terms in b and in q (at least len(a) // len(b)), try `_div_packed` on the
     field `_dense_field` picks; the heap division `_div_terms` serves the
     rest, every declined pair and every quotient `_div_packed` cannot
     certify. Raises _FieldOverflow when a quotient exponent leaves its field.
     """
     if len(b) == 1:
         return _div_monomial(a, b, lay)
-    if len(a) * len(b) >= _PACKED_DIV_MIN_PAIRS:
+    if (len(a) * len(b) >= _PACKED_DIV_MIN_PAIRS
+            and min(len(b), len(a) // len(b)) >= _PACKED_MIN_TERMS):
         shift = _dense_field(a, b, lay)
         if shift is not None:
             out = _div_packed(a, b, lay, shift)
@@ -1472,6 +1483,8 @@ class FactoredFraction:
     def __pow__(self, k: int):
         if k == 0:
             return FactoredFraction(self.table, {})
+        if k == 1:
+            return self
         return FactoredFraction(
             self.table, {key: (p, e * k) for key, (p, e) in self.factors.items()}
         )
@@ -1491,27 +1504,25 @@ class FactoredFraction:
 
     def expand_product(self) -> LaurentPolynomial:
         """Multiply out, requiring all exponents nonnegative."""
-        out = LaurentPolynomial.one(self.table)
+        out = None
         for p, e in self.factors.values():
             if e < 0:
                 raise ValueError("negative exponent in a product expansion")
-            out = out * p ** e
-        return out
+            out = p ** e if out is None else out * p ** e
+        return LaurentPolynomial.one(self.table) if out is None else out
 
     def expand_parts(self, term_limit=None):
         """Multiplied-out numerator and denominator, factor by factor.
 
         Raises TermLimitError once either part exceeds `term_limit` terms.
         """
-        num = LaurentPolynomial.one(self.table)
-        den = LaurentPolynomial.one(self.table)
+        parts = [None, None]
         for p, e in self.factors.values():
+            side = e < 0
             for _ in range(abs(e)):
-                if e > 0:
-                    num = _bounded(num * p, term_limit)
-                else:
-                    den = _bounded(den * p, term_limit)
-        return num, den
+                q = parts[side]
+                parts[side] = _bounded(p if q is None else q * p, term_limit)
+        return tuple(LaurentPolynomial.one(self.table) if q is None else q for q in parts)
 
     def expand(self) -> "RationalFunction":
         num, den = self.expand_parts()

@@ -103,7 +103,7 @@ class SemifieldKind:
 
 
 def _check_kind(a, b):
-    if a.kind != b.kind:
+    if a.kind is not b.kind and a.kind != b.kind:
         raise SemifieldMismatchError("semifield mismatch")
 
 
@@ -165,9 +165,8 @@ class SemifieldElement:
     def generator(cls, kind: SemifieldKind, name: str, power: int = 1):
         if kind.kind == UNIVERSAL:
             _generator_index(kind, name)
-            return cls.universal(
-                kind, RationalFunction.variable(kind.table, name, power)
-            )
+            # a generator power is a subtraction-free one-factor fraction as it is
+            return cls(kind, FactoredFraction.variable(kind.table, name, power))
         return cls.tropical(kind, {name: power})
 
     # -- conversions -------------------------------------------------------
@@ -249,14 +248,11 @@ def iterated_oplus(count: int, p: SemifieldElement) -> SemifieldElement:
     """Sum of `count` copies of p under the semifield addition."""
     if count <= 0:
         raise ValueError("iterated sum needs a positive count")
-    k = p.kind.kind
-    if k == UNIVERSAL:
-        scaled = p.payload * FactoredFraction.from_poly(
-            LaurentPolynomial.constant(p.kind.table, count)
-        )
-        return SemifieldElement(p.kind, scaled)
-    # idempotent addition: p + p = p
-    return p
+    if p.kind.kind != UNIVERSAL or count == 1:
+        # one copy, or an idempotent addition: p + p = p
+        return p
+    count = LaurentPolynomial.constant(p.kind.table, count)
+    return SemifieldElement(p.kind, p.payload * FactoredFraction.from_poly(count))
 
 
 class GroupRingElement:
@@ -300,11 +296,13 @@ class GroupRingElement:
         return not self.terms
 
     def is_one(self):
-        return (
-            len(self.terms) == 1
-            and self.terms[0][0] == 1
-            and sf_eq(self.terms[0][1], SemifieldElement.one(self.kind))
-        )
+        """At once for no factors or a zero vector; `ff_eq` only for factors left."""
+        if len(self.terms) != 1 or self.terms[0][0] != 1:
+            return False
+        value = self.terms[0][1].payload
+        if isinstance(value, tuple):
+            return not any(value)
+        return value.is_one() or ff_eq(value, FactoredFraction.one(value.table))
 
     def in_np(self) -> bool:
         return all(m >= 0 for m, _ in self.terms)
@@ -346,7 +344,10 @@ class GroupRingElement:
     def as_ratfn(self, table: VariableTable) -> RationalFunction:
         total = RationalFunction.zero(table)
         for mult, elem in self.terms:
-            total = total + elem.as_ratfn(table) * RationalFunction.constant(table, mult)
+            f = elem.as_ratfn(table)
+            if mult != 1:
+                f = RationalFunction(f.num.scale(mult), f.den)
+            total = total + f
         return total
 
     def render(self) -> str:
@@ -393,20 +394,18 @@ def specialize_Z(coeffs, y: SemifieldElement) -> SemifieldElement:
     coefficients simply drop out of the sum, so the result is always a
     genuine semifield element.
     """
-    coeffs = list(coeffs)
+    coeffs = tuple(coeffs)
     if len(coeffs) < 2:
         raise ValueError("degree mismatch")
     if not (coeffs[0].is_one() and coeffs[-1].is_one()):
         raise ValueError("non-monic exchange polynomial")
-    acc = None
-    power = SemifieldElement.one(y.kind)
-    for c in coeffs:
-        z = project_np(c)
-        if z is not P0_ZERO:
-            term = sf_mul(z, power)
-            acc = term if acc is None else sf_add(acc, term)
+    # the unit endpoints add 1 and the top power of y as they are
+    acc = power = SemifieldElement.one(y.kind)
+    for c in coeffs[1:-1]:
         power = sf_mul(power, y)
-    return acc
+        if (z := project_np(c)) is not P0_ZERO:
+            acc = sf_add(acc, sf_mul(z, power))
+    return sf_add(acc, sf_mul(power, y))
 
 
 def evaluate_poly_semifield(poly: LaurentPolynomial, assign: dict, kind: SemifieldKind):

@@ -209,24 +209,20 @@ def block_relations(label, fine, coarse, r, sig, failures) -> int:
     n = len(r)
     tested = 0
     for i in range(n):
+        rows = fine[offs[i]:offs[i] + r[i]]
         for j in range(n):
             want = coarse[i][j]
-            block = [fine[offs[i] + l][offs[j]:offs[j] + r[j]] for l in range(r[i])]
-            for m0 in range(r[j]):
-                s = sum(row[m0] for row in block)
-                tested += 1
+            block = [row[offs[j]:offs[j] + r[j]] for row in rows]
+            tested += r[j] + r[i] + 1
+            for m0, s in enumerate(map(sum, zip(*block))):
                 if s != want:
                     failures.append(f"{label} sum ({i + 1},{j + 1}) m0={m0 + 1}: {s} != {want}")
             for l0, row in enumerate(block):
-                tested += 1
                 if r[j] * want != r[i] * sum(row):
                     failures.append(f"{label} rescaled sum ({i + 1},{j + 1}) l0={l0 + 1}")
-            tilde = {
-                v - (sig[j] if (i, l) == (j, m) else 0)
-                for l, row in enumerate(block)
-                for m, v in enumerate(row)
+            tilde = set().union(*block) if i != j else {
+                v - sig[j] * (l == m) for l, row in enumerate(block) for m, v in enumerate(row)
             }
-            tested += 1
             if len(tilde) != 1:
                 failures.append(f"{label} shifted entries not constant at ({i + 1},{j + 1})")
                 continue

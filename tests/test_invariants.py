@@ -334,3 +334,35 @@ def test_block_step_builds_the_off_block_product_once(monkeypatch):
     eng.step(2)
     # all three slots of block 2 read F_11 * F_12 through the same column
     assert products == [(2, 2)]
+
+
+def test_g_column_step_against_an_entrywise_oracle(monkeypatch):
+    # g'_if = -g_if + r_f sum_a (g_ia [-b_af]+ - b0_ia [-c_af]+) in the
+    # stepped column f, every other column kept, at every elementary step of
+    # both engines along random words on random instances of degree <= 3
+    from gencluster.invariants import _InvariantWalk
+
+    real = _InvariantWalk._step
+    checked = []
+
+    def oracle_step(self, f, *args, **kwargs):
+        B, C, G, B0 = self.B, self.C, self.G, self.B0
+        rf, n = self.degrees[f], len(B)
+        want = [list(row) for row in G]
+        for i in range(n):
+            acc = -G[i][f]
+            for a in range(n):
+                acc += rf * (G[i][a] * max(-B[a][f], 0) - B0[i][a] * max(-C[a][f], 0))
+            want[i][f] = acc
+        real(self, f, *args, **kwargs)
+        assert self.G == want
+        checked.append(f)
+
+    monkeypatch.setattr(_InvariantWalk, "_step", oracle_step)
+    rng = random.Random(31)
+    for _ in range(40):
+        B, r = random_instance(rng, rmax=3)
+        word = random_word(rng, B.n, 4)
+        GeneralizedInvariants(B, r, track_f=False).walk(word)
+        CompositeInvariants(B, r, track_f=False).walk(word)
+    assert len(checked) > 100

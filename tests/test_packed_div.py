@@ -38,6 +38,7 @@ def naive_mul(a, b):
 def packed_calls(monkeypatch):
     """Route every multi-term division to `_div_packed`; record its answers."""
     monkeypatch.setattr(polyring, "_PACKED_DIV_MIN_PAIRS", 0)
+    monkeypatch.setattr(polyring, "_PACKED_MIN_TERMS", 0)
     calls = []
     real = polyring._div_packed
 
@@ -246,3 +247,45 @@ def test_case2_deep_generalized_step_takes_the_packed_path(monkeypatch):
     engine.step(2)
     assert calls == [(79206, 20, True)]
     assert len(engine.F[1]) == 52577
+
+
+def routing_case(shape):
+    """q * b and b of one shape: a 20-term divisor with a large quotient, a
+    900-term divisor with a 9-term quotient, a 5-term divisor."""
+    t = VariableTable(NAMES)
+    if shape == "small quotient":
+        b = poly(t, {(e, y, z): 1 + (e * y + z) % 5 for e in range(30) for y in range(6)
+                     for z in range(5)})
+        q = poly(t, {(3 * i, i % 2, 0): i + 1 for i in range(9)})
+    elif shape == "small divisor":
+        b = poly(t, {(e, 0, 0): e + 1 for e in range(5)})
+        q = poly(t, {(e, y, z): 1 + (e + y + z) % 3 for e in range(40) for y in range(15)
+                     for z in range(12)})
+    else:
+        b = poly(t, {(e, y, 0): 1 + (e + y) % 3 for e in range(10) for y in range(2)})
+        q = poly(t, {(e, 5 * y, 7 * z): 1 + (e * y + z) % 4 for e in range(40)
+                     for y in range(6) for z in range(4)})
+    return q * b, b, q
+
+
+@pytest.mark.parametrize("shape, packs", [
+    ("large quotient", True), ("small quotient", False), ("small divisor", False),
+])
+def test_routing_by_divisor_and_quotient_size(shape, packs, monkeypatch):
+    # every case has enough term pairs; only the sizes of the two factors of
+    # q * b, the quotient's counted as len(a) // len(b), decide the route
+    a, b, q = routing_case(shape)
+    assert len(a) * len(b) >= polyring._PACKED_DIV_MIN_PAIRS
+    small = min(len(b), len(a) // len(b))
+    assert (small >= polyring._PACKED_MIN_TERMS) == packs
+    calls = []
+    real = polyring._div_packed
+
+    def spy(da, db, lay, shift):
+        out = real(da, db, lay, shift)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(polyring, "_div_packed", spy)
+    assert a.exact_div(b) == q
+    assert calls == ([True] if packs else [])

@@ -248,3 +248,26 @@ def test_common_stride_shortens_the_slots():
     assert polyring._dense_field(a._d, b._d, lay) == shift
     packed(a, b)
     assert sympy_product(a, b) == dict((a * b).terms)
+
+
+@pytest.mark.parametrize("small, packs", [(9, False), (15, False), (16, True), (20, True)])
+def test_routing_by_the_smaller_operand(small, packs, monkeypatch):
+    # 960 x `small` terms are always enough pairs; the smaller operand's size
+    # alone decides whether the product is packed
+    t = table()
+    a = poly(t, {(e, y, z): 1 + (7 * e + 3 * y + z) % 5 for e in range(60) for y in range(4)
+                 for z in range(4)})
+    b = poly(t, {(e, 0, 0): e - 4 for e in range(small + 1) if e != 4})
+    assert len(a) * len(b) >= polyring._PACKED_MIN_PAIRS
+    calls = []
+    real = polyring._mul_packed
+
+    def spy(da, db, lay):
+        out = real(da, db, lay)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(polyring, "_mul_packed", spy)
+    prod = b * a
+    assert calls == ([True] if packs else [])
+    assert prod._d == _mul_school(b._d, a._d, prod._lay)

@@ -111,6 +111,19 @@ def test_mutate_B_involution():
         assert mutate_B(mutate_B(B, r, k), r, k).rows == B.rows
 
 
+def fz_mutation(rows, r, k0):
+    """Entrywise matrix mutation in the sign form of Fomin-Zelevinsky:
+    b'_ij = -b_ij if i = k or j = k, else b_ij + sgn(b_ik) r_k [b_ik b_kj]+."""
+
+    def entry(i, j, v):
+        if k0 in (i, j):
+            return -v
+        b = rows[i][k0]
+        return v + ((b > 0) - (b < 0)) * r[k0] * max(b * rows[k0][j], 0)
+
+    return tuple(tuple(entry(i, j, v) for j, v in enumerate(row)) for i, row in enumerate(rows))
+
+
 def test_mutate_B_extended_matrix_mutates_the_lower_rows():
     rng = random.Random(7)
     from gencluster.verify import random_instance
@@ -123,7 +136,12 @@ def test_mutate_B_extended_matrix_mutates_the_lower_rows():
         k0, rk = k - 1, r[k - 1]
         BC = ExchangeMatrix(B.rows + tuple(map(tuple, C)))
         out = mutate_B(BC, r, k).rows
-        assert out[:n] == mutate_B(B, r, k).rows
+        assert out[:n] == mutate_B(B, r, k).rows == fz_mutation(B.rows, r, k0)
+        # the enlarged matrix repeats each row of a block; every one mutates
+        big = enlarge(B, r)
+        flat = block_offsets(r)[k0] + rng.randrange(rk)
+        ones = (1,) * sum(r)
+        assert mutate_B(big, ones, flat + 1).rows == fz_mutation(big.rows, ones, flat)
         b = B.rows
         for i, row in enumerate(C):
             want = tuple(

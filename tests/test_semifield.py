@@ -90,6 +90,50 @@ def test_universal_addition_and_inverse(univ):
     assert sf_eq(sf_mul(one_zy, sf_inv(one_zy)), SemifieldElement.one(univ))
 
 
+def test_is_one_answers_at_once_or_through_ff_eq(univ, trop, monkeypatch):
+    import gencluster.semifield as semifield
+
+    table = univ.table
+    calls = []
+    real = semifield.ff_eq
+
+    def spy(a, b, *args):
+        calls.append(len(a.factors))
+        return real(a, b, *args)
+
+    monkeypatch.setattr(semifield, "ff_eq", spy)
+    assert GroupRingElement.one(univ).is_one() and not calls
+    # (2y) * y^-1 * 2^-1 is 1, but its payload keeps three factors
+    y = LaurentPolynomial.variable(table, "y")
+    payload = (FactoredFraction.from_poly(y.scale(2)) * FactoredFraction.from_poly(y, -1)
+               * FactoredFraction.from_poly(LaurentPolynomial.constant(table, 2), -1))
+    assert len(payload.factors) == 3
+    assert GroupRingElement(univ, ((1, SemifieldElement(univ, payload)),)).is_one()
+    assert calls == [3]
+    assert not GroupRingElement.of(SemifieldElement.generator(univ, "y")).is_one()
+    assert calls == [3, 1]
+    calls.clear()
+    # tropical: the zero vector is one, anything else or a multiplicity 2 is not
+    assert GroupRingElement.of(SemifieldElement.tropical(trop, [0])).is_one()
+    assert GroupRingElement.one(SemifieldKind.trivial()).is_one()
+    assert not GroupRingElement.of(SemifieldElement.tropical(trop, [1])).is_one()
+    assert not GroupRingElement.of(SemifieldElement.tropical(trop, [0]), 2).is_one()
+    assert not GroupRingElement.zero(trop).is_one() and not calls
+
+
+def test_as_ratfn_scales_by_the_multiplicity(univ, trop):
+    table = univ.table
+    z = SemifieldElement.generator(univ, "z")
+    one_y = sf_add(SemifieldElement.one(univ), SemifieldElement.generator(univ, "y"))
+    value = sf_mul(z, sf_inv(one_y))
+    for mult in (2, -3):
+        doubled = GroupRingElement.of(value, mult).as_ratfn(table)
+        assert doubled == value.as_ratfn(table) * RationalFunction.constant(table, mult)
+    u = SemifieldElement.tropical(trop, [2])
+    ab = VariableTable(["u"])
+    assert GroupRingElement.of(u, 2).as_ratfn(ab) == RationalFunction.monomial(ab, {"u": 2}, 2)
+
+
 def test_universal_payload_is_always_factored(univ):
     table = univ.table
     y = SemifieldElement.generator(univ, "y")
