@@ -12,7 +12,6 @@ from .polyring import (
     block_symmetric,
     elementary_reduce,
     psi_hat,
-    ratfn_eq,
 )
 from .semifield import (
     P0_ZERO,

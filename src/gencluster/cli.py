@@ -23,14 +23,15 @@ the leading term; a coefficient is a list of {multiplicity, monomial}
 group-ring terms and both endpoints must be exactly one. Exit codes:
 0 all checks passed, 1 a check or golden comparison failed, 2 usage or
 document errors, 3 the computation stopped without a verdict (an
-arithmetic error such as an inexact recursion step, or a term budget
-exceeded).
+arithmetic error such as an inexact recursion step, a term budget
+exceeded, or a reader that closed standard output early).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -192,30 +193,6 @@ def parse_seed_document(doc: dict) -> SeedDocument:
         y=y_norm,
         Z=tuple(z_norm),
     )
-
-
-def render_seed_document(sd: SeedDocument) -> dict:
-    doc = {
-        "schema": SCHEMA,
-        "rank": sd.rank,
-        "degree": list(sd.degree),
-        "B": [list(row) for row in sd.B],
-        "semifield": {"kind": sd.kind, "generators": list(sd.generators)},
-        "y": [dict(mono) for mono in sd.y],
-        "Z": [
-            [
-                [
-                    {"multiplicity": mult, "monomial": dict(mono)}
-                    for mult, mono in coeff
-                ]
-                for coeff in row
-            ]
-            for row in sd.Z
-        ],
-    }
-    if sd.D:
-        doc["D"] = list(sd.D)
-    return doc
 
 
 def load_seed(spec: str) -> SeedDocument:
@@ -442,6 +419,12 @@ def main(argv=None) -> int:
         return 2
     except (ArithmeticError, TermLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        # the reader is gone; send the interpreter's final flush nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 3
 
 

@@ -121,10 +121,6 @@ class CompositeSeed:
     def y(self, i: int, l: int) -> SemifieldElement:
         return self.ordinary.y[self.flat(i, l)]
 
-    @property
-    def big_matrix(self) -> ExchangeMatrix:
-        return self.ordinary.B
-
 
 def composite_mutate(seed: CompositeSeed, k: int) -> CompositeSeed:
     """Mutate every direction of block k (1-based), in slot order.
@@ -515,12 +511,14 @@ def initial_composite_seed(g: GeneralizedSeed, layout: RealizationLayout,
     xs = []
     ys = []
     for i in range(n):
-        # y_i s_il: the slot's split variable shifts the numerator of y_i
+        # y_i s_il: the slot's split variable shifts the numerator of y_i,
+        # already checked subtraction-free on generators
         y = g.y[i].as_ratfn(table)
+        den = FactoredFraction.from_poly(y.den, -1)
         for cx, s in zip(layout.cx[i], layout.s[i]):
             xs.append(FactoredFraction.variable(table, table.names[cx]))
             split = y.num.shift([int(v == s) for v in range(len(table))])
-            ys.append(SemifieldElement.universal(ext_kind, RationalFunction(split, y.den)))
+            ys.append(SemifieldElement(ext_kind, FactoredFraction.from_poly(split) * den))
     big = enlarge(g.B, r)
     binom = ExchangePolynomial.binomial(ext_kind)
     ordinary = GeneralizedSeed(

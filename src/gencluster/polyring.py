@@ -1,7 +1,7 @@
-"""Sparse multivariate Laurent polynomials and rational functions over ZZ.
+"""Sparse multivariate Laurent polynomials and fractions of them over ZZ.
 
 All symbolic state in this package (cluster variables, coefficient
-semifield values, invariant polynomials) is carried by the two value types
+semifield values, invariant polynomials) is carried by the value types
 defined here, over a shared ordered variable table. A polynomial is a
 dictionary from packed monomial keys to nonzero integer coefficients: each
 key is one int holding the whole exponent vector in bit fields laid out by
@@ -10,11 +10,17 @@ tuples as keys. Large products and exact quotients make one variable
 dense and work on whole groups of coefficients packed into big ints
 (`_mul_packed`, `_div_packed`); a quotient found that way is returned
 only with a certificate of exactness, and otherwise the heap division
-decides. A rational function is a pair of polynomials normalized
-only by integer content, monomial content and denominator sign. Every
-equality of fractions, in either operand order, is decided by `ff_eq`:
-factor cancellation, then exact cofactor division or cross-multiplication,
-never a canonical form, so no multivariate GCD is needed anywhere.
+decides. Fractions compute as `FactoredFraction`s, products of
+polynomial factors with integer exponents: products, powers and inverses
+merge exponents, and every sum of fractions is one `ff_sum` over the
+factor-wise common denominator, with only the numerator multiplied out.
+A `RationalFunction` computes nothing; it is the expanded form, a pair
+of polynomials normalized only by integer content, monomial content and
+denominator sign, in which values are read in, compared and rendered.
+Every equality of fractions, in either operand order, is decided by
+`ff_eq`: factor cancellation, then exact cofactor division or
+cross-multiplication, never a canonical form, so no multivariate GCD is
+needed anywhere.
 
 The module also provides the block-symmetry test for the splitting
 variables, the rewriting of a block-symmetric polynomial into elementary
@@ -1237,8 +1243,10 @@ def _spans(d: dict, lay: KeyLayout) -> list:
 
 
 class RationalFunction:
-    """Quotient of two Laurent polynomials over the same table.
+    """Quotient of two Laurent polynomials over the same table, expanded.
 
+    The form in which fractions are read in, compared and rendered; it has
+    no arithmetic (fractions compute as FactoredFractions, see `ff_sum`).
     Normalization divides both parts by the denominator's monomial content
     (so the denominator has none), makes the coefficient of its
     lexicographically largest term positive, and cancels the common
@@ -1293,10 +1301,6 @@ class RationalFunction:
         return cls.from_poly(LaurentPolynomial.one(table))
 
     @classmethod
-    def constant(cls, table, v: int):
-        return cls.from_poly(LaurentPolynomial.constant(table, v))
-
-    @classmethod
     def variable(cls, table, name, power=1):
         return cls.from_poly(LaurentPolynomial.variable(table, name, power))
 
@@ -1326,61 +1330,6 @@ class RationalFunction:
 
     __hash__ = None
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        _check_table(self, other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den, _raw=True)
-
-    def __mul__(self, other):
-        _check_table(self, other)
-        a_num, a_den = self.num, self.den
-        b_num, b_den = other.num, other.den
-        # cancel identical cross factors; this is what keeps mutation
-        # formulas from accumulating repeated blocks of spent denominators
-        if a_num and a_num == b_den:
-            a_num = LaurentPolynomial.one(a_num.table)
-            b_den = LaurentPolynomial.one(a_num.table)
-        if b_num and b_num == a_den:
-            b_num = LaurentPolynomial.one(a_num.table)
-            a_den = LaurentPolynomial.one(a_num.table)
-        return RationalFunction(a_num * b_num, a_den * b_den)
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return RationalFunction(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = RationalFunction.one(self.table)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def render(self) -> str:
         if self.den.is_one():
             return self.num.render()
@@ -1394,11 +1343,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"<ratfn {self.render()}>"
-
-
-def ratfn_eq(f: RationalFunction, g: RationalFunction) -> bool:
-    """Exact equality of fractions (`ff_eq`)."""
-    return f == g
 
 
 def _fraction_eq(f, g) -> bool:
@@ -1631,22 +1575,30 @@ def _bounded(p: LaurentPolynomial, term_limit) -> LaurentPolynomial:
     return p
 
 
+def ff_sum(terms, table) -> tuple:
+    """Every sum of fractions: the numerator and common denominator of sum(terms).
+
+    `terms` is a sequence of FactoredFractions on `table`. The common
+    denominator carries each factor at its largest negative exponent among
+    the terms and stays factored (positive exponents); only the numerator,
+    sum of each term times it, is multiplied out. An empty sum is 0 over 1.
+    """
+    common: dict = {}
+    for f in terms:
+        for key, (p, e) in f.factors.items():
+            if e < 0 and (key not in common or common[key][1] < -e):
+                common[key] = (p, -e)
+    den = FactoredFraction(table, common)
+    num = _TermSum(table)
+    for f in terms:
+        num.add((f * den).expand_product())
+    return num.poly(), den
+
+
 def ff_add(a: FactoredFraction, b: FactoredFraction) -> FactoredFraction:
-    """Sum of two factored fractions over the factor-wise common denominator."""
-    if a.table is not b.table:
-        raise TableMismatchError("values belong to different variable tables")
-    da = a.negative_part()
-    db = b.negative_part()
-    common = dict(da.factors)
-    for key, (p, e) in db.factors.items():
-        if key in common:
-            common[key] = (p, max(common[key][1], e))
-        else:
-            common[key] = (p, e)
-    common_ff = FactoredFraction(a.table, common)
-    na = (a * common_ff).expand_product()
-    nb = (b * common_ff).expand_product()
-    return FactoredFraction.from_poly(na + nb) * common_ff.inverse()
+    """Sum of two factored fractions (`ff_sum`); a zero sum raises ZeroDivisionError."""
+    num, den = ff_sum((a, b), a.table)
+    return FactoredFraction.from_poly(num) / den
 
 
 # -- block symmetry and elementary symmetric rewriting ----------------------
@@ -2074,7 +2026,9 @@ def cross_evaluate(poly: LaurentPolynomial, assign: dict,
     supports must be assigned. When every value is a monomial with
     coefficient 1 this is one exponent remap. Otherwise the terms that
     share their exponents at the substituted variables are substituted
-    together, one product of powers per group.
+    together, one factored product of powers per group, and the groups
+    are summed by `ff_sum`. A zero value drops every group it divides and
+    raises ZeroDivisionError if some group has it at a negative power.
     """
     keep = target is poly.table
     idx = sorted(i for i in poly.support_vars() if not keep or i in assign)
@@ -2082,11 +2036,17 @@ def cross_evaluate(poly: LaurentPolynomial, assign: dict,
     if None not in unit.values():
         moves = [(i, unit[i]) for i in idx]
         return RationalFunction.from_poly(_remap(poly, target, moves, keep))
-    total = RationalFunction.zero(target)
+    values = {i: FactoredFraction.from_ratfn(assign[i]) if assign[i] else None for i in idx}
+    terms = []
     for exps, rest in split_terms(poly, idx).items():
-        value = RationalFunction.from_poly(rest if keep else rest.transplant(target))
-        for i, e in zip(idx, exps):
-            if e:
-                value = value * assign[i] ** e
-        total = total + value
-    return total
+        powers = [(values[i], e) for i, e in zip(idx, exps) if e]
+        if dead := [e for v, e in powers if v is None]:
+            if min(dead) < 0:
+                raise ZeroDivisionError("negative power of zero")
+            continue
+        value = FactoredFraction.from_poly(rest if keep else rest.transplant(target))
+        for v, e in powers:
+            value = value * v ** e
+        terms.append(value)
+    num, den = ff_sum(terms, target)
+    return RationalFunction(num, den.expand_product())

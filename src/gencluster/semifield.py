@@ -28,6 +28,7 @@ from .polyring import (
     cross_evaluate,
     ff_add,
     ff_eq,
+    ff_sum,
     psi_hat_factored,
 )
 
@@ -342,13 +343,15 @@ class GroupRingElement:
     __hash__ = None
 
     def as_ratfn(self, table: VariableTable) -> RationalFunction:
-        total = RationalFunction.zero(table)
+        """The sum of the terms as a rational function on the table (`ff_sum`)."""
+        terms = []
         for mult, elem in self.terms:
-            f = elem.as_ratfn(table)
+            f = elem.as_factored(table)
             if mult != 1:
-                f = RationalFunction(f.num.scale(mult), f.den)
-            total = total + f
-        return total
+                f = f * FactoredFraction.from_poly(LaurentPolynomial.constant(table, mult))
+            terms.append(f)
+        num, den = ff_sum(terms, table)
+        return RationalFunction(num, den.expand_product())
 
     def render(self) -> str:
         if not self.terms:

@@ -67,12 +67,12 @@ def test_initial_composite_seed_case1():
         assert cs.ordinary.y[flat].as_ratfn(table) == RationalFunction.monomial(
             table, powers
         )
-    assert cs.big_matrix.rows == ((0, 0, -1), (0, 0, -1), (1, 1, 0))
+    assert cs.ordinary.B.rows == ((0, 0, -1), (0, 0, -1), (1, 1, 0))
 
 
 def test_initial_composite_matrix_case2():
     rz = case_realization(2)
-    assert rz.c_seed.big_matrix.rows == enlarge(EXAMPLE_B, (2, 3)).rows
+    assert rz.c_seed.ordinary.B.rows == enlarge(EXAMPLE_B, (2, 3)).rows
 
 
 def test_composite_mutation_closed_form_and_order_independence():
@@ -83,7 +83,7 @@ def test_composite_mutation_closed_form_and_order_independence():
         base = rz.c_seed
         canonical = composite_mutate(base, k)
         closed = composite_mutate_closed(base, k)
-        assert canonical.big_matrix.rows == closed.big_matrix.rows
+        assert canonical.ordinary.B.rows == closed.ordinary.B.rows
         assert all(a == b for a, b in zip(canonical.ordinary.x, closed.ordinary.x))
         assert all(
             sf_eq(a, b) for a, b in zip(canonical.ordinary.y, closed.ordinary.y)
@@ -102,7 +102,7 @@ def test_composite_mutation_involution():
     rz = case_realization(1)
     for k in (1, 2):
         back = composite_mutate(composite_mutate(rz.c_seed, k), k)
-        assert back.big_matrix.rows == rz.c_seed.big_matrix.rows
+        assert back.ordinary.B.rows == rz.c_seed.ordinary.B.rows
         assert all(
             a == b for a, b in zip(back.ordinary.x, rz.c_seed.ordinary.x)
         )
@@ -120,11 +120,10 @@ def test_composite_first_block_coefficients_case1():
     y11, y12, y21 = rz.c_seed.ordinary.y
     assert sf_eq(cs.y(0, 0), sf_inv(y11))
     assert sf_eq(cs.y(0, 1), sf_inv(y12))
-    one = RationalFunction.one(table)
-    want = (
-        y21.as_ratfn(table)
-        * (one + y11.as_ratfn(table))
-        * (one + y12.as_ratfn(table))
+    # y21 (1 + y11) (1 + y12), with 1 + n/d = (d + n)/d
+    a, b, c = (y.as_ratfn(table) for y in (y21, y11, y12))
+    want = RationalFunction(
+        a.num * (b.den + b.num) * (c.den + c.num), a.den * b.den * c.den
     )
     assert cs.y(1, 0).as_ratfn(table) == want
 
@@ -133,8 +132,8 @@ def test_block_matrix_stays_enlarged_along_walks():
     rz = case_realization(2)
     cs = composite_walk(rz.c_seed, (1, 2, 1))
     small = walk_y(rz.g_seed, (1, 2, 1))
-    assert cs.big_matrix.rows == enlarge(small.B, rz.r).rows
-    assert read_block_matrix(cs.big_matrix, rz.r).rows == small.B.rows
+    assert cs.ordinary.B.rows == enlarge(small.B, rz.r).rows
+    assert read_block_matrix(cs.ordinary.B, rz.r).rows == small.B.rows
 
 
 def test_aggregates_initial_and_depth_one():

@@ -39,13 +39,16 @@ FREE = (10, 11)
 
 
 def _symbols(table, blocks):
-    y = RationalFunction.variable(table, "y")
-    z = RationalFunction.variable(table, "z")
-    one = RationalFunction.one(table)
+    y = LaurentPolynomial.variable(table, "y")
+    z = LaurentPolynomial.variable(table, "z")
+    one = LaurentPolynomial.one(table)
     targets = {BLOCK1: (z + one, one), BLOCK2: (y, z * z, one)}
     return ElementarySymbols(
         table=table,
-        blocks=tuple(SymbolBlock(s, e, targets[(s, e)]) for s, e in blocks),
+        blocks=tuple(
+            SymbolBlock(s, e, tuple(map(RationalFunction.from_poly, targets[(s, e)])))
+            for s, e in blocks
+        ),
     )
 
 

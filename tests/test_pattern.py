@@ -258,21 +258,34 @@ def non_laurent_seed():
 
 def _exchange_reference(seed, k0):
     # x_k' = x_k^-1 prod_j x_j^(r_k [-b_jk]+) sum_l c_l yhat^l / Z_k|P(y_k),
-    # with yhat = y_k prod_j x_j^(b_jk), summed in RationalFunction arithmetic
+    # with yhat = y_k prod_j x_j^(b_jk), each fraction a (numerator,
+    # denominator) pair of polynomials, multiplied and summed by hand
     table = seed.table
+    one = LaurentPolynomial.one(table)
+
+    def pair(f):
+        return f.num, f.den
+
+    def times(f, g, k=1):
+        # f * g^k
+        gn, gd = g if k >= 0 else g[::-1]
+        return f[0] * gn ** abs(k), f[1] * gd ** abs(k)
+
     rk = seed.r[k0]
-    hat = seed.y[k0].as_ratfn(table)
-    mult = RationalFunction.one(table)
+    hat = pair(seed.y[k0].as_ratfn(table))
+    mult = (one, one)
     for j, row in enumerate(seed.B.rows):
-        xj = seed.x[j].expand()
-        hat = hat * xj ** row[k0]
-        mult = mult * xj ** (rk * max(-row[k0], 0))
-    total = RationalFunction.zero(table)
+        xj = pair(seed.x[j].expand())
+        hat = times(hat, xj, row[k0])
+        mult = times(mult, xj, rk * max(-row[k0], 0))
+    total = (LaurentPolynomial.zero(table), one)
     for l, c in enumerate(seed.Z[k0].coeffs):
         if not c.is_zero():
-            total = total + c.as_ratfn(table) * hat ** l
-    spec = seed.Z[k0].specialize(seed.y[k0]).as_ratfn(table)
-    return total * mult / (seed.x[k0].expand() * spec)
+            cn, cd = times(pair(c.as_ratfn(table)), hat, l)
+            total = (total[0] * cd + cn * total[1], total[1] * cd)
+    spec = pair(seed.Z[k0].specialize(seed.y[k0]).as_ratfn(table))
+    total = times(times(times(total, mult), pair(seed.x[k0].expand()), -1), spec, -1)
+    return RationalFunction(*total)
 
 
 def test_non_laurent_coefficients_one_step_matches_the_exchange_sum():

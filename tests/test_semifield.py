@@ -128,10 +128,26 @@ def test_as_ratfn_scales_by_the_multiplicity(univ, trop):
     value = sf_mul(z, sf_inv(one_y))
     for mult in (2, -3):
         doubled = GroupRingElement.of(value, mult).as_ratfn(table)
-        assert doubled == value.as_ratfn(table) * RationalFunction.constant(table, mult)
+        f = value.as_ratfn(table)
+        assert doubled == RationalFunction(f.num.scale(mult), f.den)
     u = SemifieldElement.tropical(trop, [2])
     ab = VariableTable(["u"])
     assert GroupRingElement.of(u, 2).as_ratfn(ab) == RationalFunction.monomial(ab, {"u": 2}, 2)
+
+
+def test_as_ratfn_of_a_sum_that_cancels_is_zero(univ):
+    # y + z - (y + z): three terms over the common denominator 1, summing to 0
+    table = univ.table
+    y = SemifieldElement.generator(univ, "y")
+    z = SemifieldElement.generator(univ, "z")
+    ring = GroupRingElement.from_terms(univ, [(1, y), (1, z), (-1, sf_add(y, z))])
+    assert len(ring.terms) == 3
+    total = ring.as_ratfn(table)
+    assert total.is_zero() and total == RationalFunction.zero(table)
+    # over a shared factored denominator: y/(1 + z) + z/(1 + z) - (y + z)/(1 + z)
+    inv = sf_inv(sf_add(SemifieldElement.one(univ), z))
+    terms = [(1, sf_mul(y, inv)), (1, sf_mul(z, inv)), (-1, sf_mul(sf_add(y, z), inv))]
+    assert GroupRingElement.from_terms(univ, terms).as_ratfn(table).is_zero()
 
 
 def test_universal_payload_is_always_factored(univ):
@@ -463,7 +479,10 @@ def test_psi_certifies_large_parts():
             SymbolBlock(
                 s_idx=block.s_idx,
                 e_idx=block.e_idx,
-                targets=(RationalFunction.constant(table, 2), RationalFunction.one(table)),
+                targets=(
+                    RationalFunction.from_poly(LaurentPolynomial.constant(table, 2)),
+                    RationalFunction.one(table),
+                ),
             ),
         ),
     )
@@ -479,8 +498,10 @@ def test_cached_signed_orbit_is_still_certified():
     s11 = LaurentPolynomial.variable(table, "s11")
     s12 = LaurentPolynomial.variable(table, "s12")
     ff = FactoredFraction.from_poly(s11 ** 2 + s12 ** 2)
-    z = RationalFunction.variable(table, "z")
-    assert psi_hat_factored(ff, symbols) == z * z - RationalFunction.constant(table, 2)
+    z = LaurentPolynomial.variable(table, "z")
+    assert psi_hat_factored(ff, symbols) == RationalFunction.from_poly(
+        z * z - LaurentPolynomial.constant(table, 2)
+    )
     assert symbols.orbits
     with pytest.raises(PsiConeError):
         psi_hat_factored(ff, symbols, require_nonneg=True)
