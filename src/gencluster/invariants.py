@@ -13,6 +13,8 @@ rebuild cluster variables and coefficients from the invariants.
 
 from __future__ import annotations
 
+from functools import reduce
+from math import prod
 from operator import mul
 
 from .polyring import (
@@ -77,14 +79,20 @@ class _InvariantWalk:
                        products=None, block=()) -> LaurentPolynomial:
         """Exchange numerator of the polynomial step in direction k0.
 
-        The numerator is the sum over l of z_l times a y-monomial times
-        the F-part, the product of F_j^((rk-l)[-b_j]+ + l[b_j]+). `zcoeff(l)`
-        gives z_l; None means unit coefficients. With `fvals`/`table`
-        overridden this assembles the same expression over formal
-        stand-ins, which is how the stepwise relation checker compares
-        engines without expanding anything big.
+        The numerator is the sum over l = 0..rk of c_l P^l N^(rk-l), where
+        c_l is z_l times a y-monomial, and P and N are the products of
+        F_j^|b_j| over the positive and negative entries b_j of the
+        B-column. `zcoeff(l)` gives z_l; None means unit coefficients.
+        With `fvals`/`table` overridden this assembles the same expression
+        over formal stand-ins, which is how the stepwise relation checker
+        compares engines without expanding anything big.
 
-        `products` caches the F-parts of B-columns that vanish on the
+        Horner's rule in the larger of P and N, say N, builds it as
+        S <- S * N + c_l * P^l: S and the running power P^l are multiplied
+        by one stored F_j at a time, and each term is added in place into
+        the fresh product, so no power of a big F_j is alive beside S.
+
+        `products` caches P and N of B-columns that vanish on the
         directions `block`: stepping inside the block changes neither such
         a column nor the F_j it reads, so the slots of one block step share
         them.
@@ -93,21 +101,38 @@ class _InvariantWalk:
         table = table if table is not None else self.table
         fvals = fvals if fvals is not None else self.F
         colB = tuple(row[k0] for row in self.B)
-        if products is None or any(colB[g] for g in block):
-            products = {}
-        if colB not in products:
-            products[colB] = _f_parts(colB, rk, fvals, table)
-        num = None
-        for l, part in enumerate(products[colB]):
-            term = LaurentPolynomial.monomial(table, {
+        sides = ([], [])
+        for j, b in enumerate(colB):
+            if b and not fvals[j].is_one():
+                sides[b < 0].extend([fvals[j]] * abs(b))
+        if products is not None and not any(colB[g] for g in block):
+            if colB not in products:
+                products[colB] = tuple([reduce(mul, s)] if s else [] for s in sides)
+            sides = products[colB]
+        # P multiplies the sum from l = rk down, unless N is the larger
+        grow, power = sides
+        order = range(rk, -1, -1)
+        if prod(map(len, grow)) < prod(map(len, power)):
+            grow, power, order = power, grow, range(rk + 1)
+        num = acc = None
+        for l in order:
+            c = LaurentPolynomial.monomial(table, {
                 j: (rk - l) * pos(-row[k0]) + l * pos(row[k0]) for j, row in enumerate(self.C)
             })
-            # a product by 1 would still pass over every term of the other side
             z = LaurentPolynomial.one(table) if zcoeff is None else zcoeff(l)
-            for factor in (z, part):
-                if not factor.is_one():
-                    term = factor if term.is_one() else factor * term
-            num = term if num is None else num + term
+            if not z.is_one():
+                c = z * c
+            if num is None:
+                num = c
+                continue
+            for f in grow:
+                num = num * f
+            for f in power:
+                acc = f if acc is None else acc * f
+            if acc is not None:
+                # a product by 1 would still pass over every term of the other side
+                c = acc if c.is_one() else c * acc
+            num._add_owned(c)
         return num
 
     def _step(self, f: int, zcoeff=None, products=None, block=()) -> None:
@@ -118,7 +143,7 @@ class _InvariantWalk:
         new_Ff = None
         if self.track_f:
             num = self.step_numerator(f, zcoeff, products=products, block=block)
-            new_Ff = num.exact_div(self.F[f])
+            new_Ff = num._div_owned(self.F[f])  # frees num's terms once packed
             if new_Ff is None:
                 raise ArithmeticError("polynomial recursion step is not exactly divisible")
 
@@ -147,26 +172,6 @@ class _InvariantWalk:
 
     def g_rows(self):
         return tuple(tuple(row) for row in self.G)
-
-
-def _f_parts(colB, rk, fvals, table):
-    """The F-part of each term l = 0..rk of a step numerator.
-
-    Each F_j is raised along one chain of multiplications, F_j^(m|b_j|)
-    for m = 1..rk, and the powers meet in j order.
-    """
-    parts = [LaurentPolynomial.one(table)] * (rk + 1)
-    for j, b in enumerate(colB):
-        if not b or fvals[j].is_one():
-            continue
-        power, e = fvals[j], 1
-        for m in range(1, rk + 1):
-            while e < m * abs(b):
-                power = power * fvals[j]
-                e += 1
-            l = m if b > 0 else rk - m
-            parts[l] = power if parts[l].is_one() else parts[l] * power
-    return parts
 
 
 class GeneralizedInvariants(_InvariantWalk):

@@ -500,6 +500,13 @@ class LaurentPolynomial:
         division never leaves them then, so the heap division answers
         "not divisible" at once (`_out_of_field`).
         """
+        return self._exact_div(divisor, False)
+
+    def _div_owned(self, divisor: "LaurentPolynomial"):
+        """exact_div that consumes self: a packed quotient leaves it empty."""
+        return self._exact_div(divisor, True)
+
+    def _exact_div(self, divisor, owned: bool):
         _check_table(self, divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -508,11 +515,16 @@ class LaurentPolynomial:
         while True:
             lay = _pair(self, divisor)
             try:
-                out = _div(self._d, divisor._d, lay)
+                out = _div(self._d, divisor._d, lay, owned)
             except _FieldOverflow:
                 self.table.widen()
                 continue
             return None if out is None else _poly(self.table, lay, out)
+
+    def _add_owned(self, other: "LaurentPolynomial") -> None:
+        """self += other in place, for a fresh polynomial nothing else holds."""
+        _pair(self, other)
+        _add_into(self._d, other._d)
 
     # -- substitution ------------------------------------------------------
 
@@ -814,7 +826,7 @@ def _decode_into(out: dict, key: int, v: int, step: int, w: int) -> int:
 _PACKED_DIV_MIN_PAIRS = 32768
 
 
-def _div(a: dict, b: dict, lay: KeyLayout):
+def _div(a: dict, b: dict, lay: KeyLayout, owned: bool):
     """Exact quotient of packed term dicts, or None; see exact_div.
 
     A one-term divisor is a key shift. Divisions of at least
@@ -823,6 +835,9 @@ def _div(a: dict, b: dict, lay: KeyLayout):
     field `_dense_field` picks; the heap division `_div_terms` serves the
     rest, every declined pair and every quotient `_div_packed` cannot
     certify. Raises _FieldOverflow when a quotient exponent leaves its field.
+    With `owned`, a is the caller's to consume: `_div_packed` empties it
+    once packed and refills it on every exit but a certified quotient, so
+    a is intact whenever the heap division runs or the table widens.
     """
     if len(b) == 1:
         return _div_monomial(a, b, lay)
@@ -830,7 +845,7 @@ def _div(a: dict, b: dict, lay: KeyLayout):
             and min(len(b), len(a) // len(b)) >= _PACKED_MIN_TERMS):
         shift = _dense_field(a, b, lay)
         if shift is not None:
-            out = _div_packed(a, b, lay, shift)
+            out = _div_packed(a, b, lay, shift, owned)
             if out is not None:
                 return out
     return _div_terms(a, b, lay)
@@ -863,7 +878,7 @@ def _div_width(a: dict, b: dict) -> int:
     return (amax + amax * max(map(abs, b.values())) * len(b)).bit_length() + 1
 
 
-def _div_packed(a: dict, b: dict, lay: KeyLayout, shift: int):
+def _div_packed(a: dict, b: dict, lay: KeyLayout, shift: int, owned: bool = False):
     """Exact quotient of packed term dicts through packed coefficients, or None.
 
     The field at `shift` is made dense, so a and b become groups of terms
@@ -887,14 +902,22 @@ def _div_packed(a: dict, b: dict, lay: KeyLayout, shift: int):
     stride, a quotient group past the lex bound of the other exponents,
     more quotient groups than a has terms, or a failed bound. None
     therefore never means "not divisible".
+
+    With `owned` the caller hands a over: its terms are freed once they
+    are packed, and decoded back from their groups before every exit but a
+    certified quotient (None, or _FieldOverflow on the way to widening).
     """
     zero, guard = lay.zero, lay.guard
     keep = ~(lay.mask << shift)
+    amax, cap = max(map(abs, a.values())), len(a)
     w = _div_width(a, b)
     ga, gb, step = _pack_pair(a, b, keep, shift, w)
+    if owned:
+        a.clear()
     # group -> [lowest field value, in place; packed int]
     work = {r: [k - r, v] for r, (k, v) in ga.items()}
-    del ga
+    if not owned:
+        del ga
     # group keys carry zero's other fields, field values its bias
     zr = zero & keep
     zf = zero - zr
@@ -906,64 +929,67 @@ def _div_packed(a: dict, b: dict, lay: KeyLayout, shift: int):
     # up to max(a) - max(b) in the order of the other exponents.
     top = max(work) - max(gb) + zr
     del gb
-    if min(work) - dr + zr > top:
-        return None
-    heap = list(work)
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    get = work.get
-    out: dict = {}
-    half = 1 << (lay.bits - 1 + shift)
-    cap = len(a)
-    while work:
-        r = heappop(heap)
-        entry = work.pop(r, None)
-        if entry is None:
-            continue
-        lo, v = entry
-        if not v:
-            continue
-        rq = r - dr + zr
-        cap -= 1
-        if rq > top or cap < 0:
+    certified = False
+    try:
+        if min(work) - dr + zr > top:
             return None
-        # strip the zero low slots so the quotient starts at its lowest term
-        slots = ((v & -v).bit_length() - 1) // w
-        if slots:
-            v >>= w * slots
-            lo += slots * step
-        q, rem = divmod(v, dv)
-        if rem:
-            return None
-        lq = lo - dlo + zf
-        if rq & guard or lq < 0:
-            raise _FieldOverflow
-        if _decode_into(out, rq + lq, q, step, w) - rq - step >= half:
-            raise _FieldOverflow
-        for hr, hlo, hv in rest:
-            pr = rq + hr
-            plo = lq + hlo
-            entry = get(pr)
+        heap = list(work)
+        heapq.heapify(heap)
+        heappop, heappush = heapq.heappop, heapq.heappush
+        get = work.get
+        out: dict = {}
+        half = 1 << (lay.bits - 1 + shift)
+        while work:
+            r = heappop(heap)
+            entry = work.pop(r, None)
             if entry is None:
-                if pr & guard:
-                    raise _FieldOverflow
-                work[pr] = [plo, -q * hv]
-                heappush(heap, pr)
                 continue
-            gap, off = divmod(plo - entry[0], step)
-            if off:
+            lo, v = entry
+            if not v:
+                continue
+            rq = r - dr + zr
+            cap -= 1
+            if rq > top or cap < 0:
                 return None
-            if gap >= 0:
-                entry[1] -= q * hv << (w * gap)
-            else:
-                entry[1] = (entry[1] << (w * -gap)) - q * hv
-                entry[0] = plo
-    amax = max(map(abs, a.values()))
-    bmax = max(map(abs, b.values()))
-    qmax = max(map(abs, out.values()), default=0)
-    if amax + qmax * bmax * min(len(out), len(b)) >= 1 << (w - 1):
-        return None
-    return out
+            # strip the zero low slots so the quotient starts at its lowest term
+            slots = ((v & -v).bit_length() - 1) // w
+            if slots:
+                v >>= w * slots
+                lo += slots * step
+            q, rem = divmod(v, dv)
+            if rem:
+                return None
+            lq = lo - dlo + zf
+            if rq & guard or lq < 0:
+                raise _FieldOverflow
+            if _decode_into(out, rq + lq, q, step, w) - rq - step >= half:
+                raise _FieldOverflow
+            for hr, hlo, hv in rest:
+                pr = rq + hr
+                plo = lq + hlo
+                entry = get(pr)
+                if entry is None:
+                    if pr & guard:
+                        raise _FieldOverflow
+                    work[pr] = [plo, -q * hv]
+                    heappush(heap, pr)
+                    continue
+                gap, off = divmod(plo - entry[0], step)
+                if off:
+                    return None
+                if gap >= 0:
+                    entry[1] -= q * hv << (w * gap)
+                else:
+                    entry[1] = (entry[1] << (w * -gap)) - q * hv
+                    entry[0] = plo
+        bmax = max(map(abs, b.values()))
+        qmax = max(map(abs, out.values()), default=0)
+        certified = amax + qmax * bmax * min(len(out), len(b)) < 1 << (w - 1)
+        return out if certified else None
+    finally:
+        if owned and not certified:
+            for lo, v in ga.values():
+                _decode_into(a, lo, v, step, w)
 
 
 def _div_terms(a: dict, b: dict, lay: KeyLayout):

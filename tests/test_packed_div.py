@@ -8,7 +8,11 @@ compared with it. The routing threshold is lowered in most tests so that
 small inputs reach the packed route.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -42,9 +46,9 @@ def packed_calls(monkeypatch):
     calls = []
     real = polyring._div_packed
 
-    def spy(a, b, lay, shift):
+    def spy(a, b, lay, shift, owned=False):
         calls.append(lay.bits)
-        out = real(a, b, lay, shift)
+        out = real(a, b, lay, shift, owned)
         calls.append(out is not None)
         return out
 
@@ -236,17 +240,56 @@ def test_case2_deep_generalized_step_takes_the_packed_path(monkeypatch):
     calls = []
     real = polyring._div_packed
 
-    def spy(a, b, lay, shift):
-        out = real(a, b, lay, shift)
-        calls.append((len(a), len(b), out is not None))
+    def spy(a, b, lay, shift, owned=False):
+        # the step hands its numerator over, and a certified quotient empties it
+        assert owned
+        before = dict(a)
+        out = real(a, b, lay, shift, owned)
+        calls.append((len(before), len(b), out is not None))
         if out is not None:
-            assert polyring._mul_terms(out, b, lay) == a
+            assert polyring._mul_terms(out, b, lay) == before
         return out
 
     monkeypatch.setattr(polyring, "_div_packed", spy)
     engine.step(2)
     assert calls == [(79206, 20, True)]
     assert len(engine.F[1]) == 52577
+
+
+def test_case2_deep_generalized_step_memory_growth():
+    # The step builds its 79,206-term numerator by Horner's rule, so no power
+    # of F_1 is held beside it, and the packed division frees the numerator
+    # once packed. Its peak then grows by about 12 MB (x86-64, CPython
+    # 3.11); with F_1, F_1^2, F_1^3 and the numerator held next to the
+    # quotient it grew by about 19 MB.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read the peak from")
+    script = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from gencluster.invariants import GeneralizedInvariants
+        from gencluster.pattern import ExchangeMatrix
+
+        def peak_kb():
+            with open("/proc/self/status") as status:
+                for line in status:
+                    if line.startswith("VmHWM:"):
+                        return int(line.split()[1])
+
+        B2 = ExchangeMatrix.from_rows([[0, 1], [-2, 0]], (2, 1))
+        engine = GeneralizedInvariants(B2, (2, 3)).walk((1, 2, 1))
+        before = peak_kb()
+        engine.step(2)
+        print(len(engine.F[1]), peak_kb() - before)
+    """)
+    src = os.path.dirname(os.path.dirname(polyring.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", script, src],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    terms, growth_kb = map(int, out.stdout.split())
+    assert terms == 52577
+    assert growth_kb <= 15 * 1024
 
 
 def routing_case(shape):
@@ -281,11 +324,103 @@ def test_routing_by_divisor_and_quotient_size(shape, packs, monkeypatch):
     calls = []
     real = polyring._div_packed
 
-    def spy(da, db, lay, shift):
-        out = real(da, db, lay, shift)
+    def spy(da, db, lay, shift, owned=False):
+        out = real(da, db, lay, shift, owned)
         calls.append(out is not None)
         return out
 
     monkeypatch.setattr(polyring, "_div_packed", spy)
     assert a.exact_div(b) == q
     assert calls == ([True] if packs else [])
+
+
+# -- a dividend the caller hands over ---------------------------------------------
+
+
+def test_exact_div_leaves_its_operands_unchanged_on_the_packed_route(packed_calls):
+    t = VariableTable(NAMES)
+    a, b, q = certified_case(t)
+    da, db = dict(a._d), dict(b._d)
+    assert a.exact_div(b) == q
+    assert packed_calls == [t.layout.bits, True]
+    assert a._d == da and b._d == db
+
+
+def test_owned_division_returns_the_exact_div_quotient(packed_calls):
+    t = VariableTable(NAMES)
+    rng = random.Random(17)
+    consumed = 0
+    for _ in range(30):
+        q = poly(t, {(rng.randint(-6, 6), rng.randint(-1, 1), rng.randint(-1, 1)):
+                     rng.randint(-9, 9) or 1 for _ in range(rng.randint(3, 20))})
+        b = poly(t, {(rng.randint(-3, 3), rng.randint(-1, 1), 0): rng.randint(1, 9)
+                     for _ in range(rng.randint(2, 6))})
+        a = q * b
+        expected = a.exact_div(b)
+        assert expected == q
+        packed_calls.clear()
+        assert a._div_owned(b) == expected
+        # a certified packed quotient consumes the dividend; any other route leaves it
+        if packed_calls[-1:] == [True]:
+            consumed += 1
+            assert a.is_zero()
+        else:
+            assert a == q * b
+    assert consumed > 0
+
+
+def test_uncertified_owned_quotient_restores_the_dividend(packed_calls, monkeypatch):
+    t = VariableTable(NAMES)
+    a, b, q = certified_case(t)
+    whole = dict(a.terms)
+    # 5-bit slots fail the certificate (see the narrow-slot test above)
+    monkeypatch.setattr(polyring, "_div_width", lambda a, b: 5)
+    heap = []
+    real_heap = polyring._div_terms
+
+    def heap_spy(da, db, lay):
+        heap.append(dict(polyring._poly(t, lay, dict(da)).terms))
+        return real_heap(da, db, lay)
+
+    monkeypatch.setattr(polyring, "_div_terms", heap_spy)
+    assert a._div_owned(b) == q
+    assert packed_calls == [t.layout.bits, False]
+    assert heap == [whole] and dict(a.terms) == whole
+
+    bumped = a + poly(t, {(1, 1, 1): 1})
+    whole = dict(bumped.terms)
+    packed_calls.clear()
+    heap.clear()
+    assert bumped._div_owned(b) is None
+    assert packed_calls == [t.layout.bits, False]
+    assert heap == [whole] and dict(bumped.terms) == whole
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_owned_quotient_crossing_the_field_bound_widens_and_reruns(sign, packed_calls,
+                                                                   monkeypatch):
+    t = VariableTable(NAMES)
+    bits = t.layout.bits
+    bias = t.layout.bias
+    rng = random.Random(61)
+    start = bias - 30 if sign > 0 else -bias + 30
+    tq = {(start + sign * e, y, z): rng.randint(1, 9)
+          for e in range(60) for y in range(2) for z in range(2)}
+    tb = {(-sign * e - sign * 40, y, 0): rng.randint(1, 9) for e in range(8) for y in range(2)}
+    ta = naive_mul(tq, tb)
+    a, b = poly(t, ta), poly(t, tb)
+    sizes = []
+    inner = polyring._div_packed
+
+    def sizes_spy(da, db, lay, shift, owned=False):
+        sizes.append((len(da), owned))
+        return inner(da, db, lay, shift, owned)
+
+    monkeypatch.setattr(polyring, "_div_packed", sizes_spy)
+    q = a._div_owned(b)
+    assert t.layout.bits > bits
+    # the overflowing try handed the dividend back whole to the rerun
+    assert packed_calls == [bits, t.layout.bits, True]
+    assert sizes == [(len(ta), True)] * 2
+    assert dict(q.terms) == tq
+    assert a.is_zero()
