@@ -143,7 +143,7 @@ class _InvariantWalk:
         new_Ff = None
         if self.track_f:
             num = self.step_numerator(f, zcoeff, products=products, block=block)
-            new_Ff = num._div_owned(self.F[f])  # frees num's terms once packed
+            new_Ff = num.exact_div(self.F[f], _owned=True)  # frees num once packed
             if new_Ff is None:
                 raise ArithmeticError("polynomial recursion step is not exactly divisible")
 

@@ -473,7 +473,7 @@ class LaurentPolynomial:
 
     # -- division ----------------------------------------------------------
 
-    def exact_div(self, divisor: "LaurentPolynomial"):
+    def exact_div(self, divisor: "LaurentPolynomial", _owned: bool = False):
         """Exact quotient self / divisor, or None if the division fails.
 
         A one-term divisor is a key shift (and a divmod per term unless its
@@ -499,14 +499,12 @@ class LaurentPolynomial:
         division, unless that box fits the current fields: an exact
         division never leaves them then, so the heap division answers
         "not divisible" at once (`_out_of_field`).
+
+        Neither operand is touched, unless the caller hands self over with
+        `_owned` (the F-polynomial step's fresh numerator): a certified
+        packed quotient then leaves self empty, and every other route
+        leaves it whole.
         """
-        return self._exact_div(divisor, False)
-
-    def _div_owned(self, divisor: "LaurentPolynomial"):
-        """exact_div that consumes self: a packed quotient leaves it empty."""
-        return self._exact_div(divisor, True)
-
-    def _exact_div(self, divisor, owned: bool):
         _check_table(self, divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -515,7 +513,7 @@ class LaurentPolynomial:
         while True:
             lay = _pair(self, divisor)
             try:
-                out = _div(self._d, divisor._d, lay, owned)
+                out = _div(self._d, divisor._d, lay, _owned)
             except _FieldOverflow:
                 self.table.widen()
                 continue
@@ -878,7 +876,7 @@ def _div_width(a: dict, b: dict) -> int:
     return (amax + amax * max(map(abs, b.values())) * len(b)).bit_length() + 1
 
 
-def _div_packed(a: dict, b: dict, lay: KeyLayout, shift: int, owned: bool = False):
+def _div_packed(a: dict, b: dict, lay: KeyLayout, shift: int, owned: bool):
     """Exact quotient of packed term dicts through packed coefficients, or None.
 
     The field at `shift` is made dense, so a and b become groups of terms
