@@ -54,9 +54,6 @@ from .composite import (
 from .invariants import (
     CompositeInvariants,
     GeneralizedInvariants,
-    c_matrix,
-    f_polynomials,
-    g_matrix,
     separation_reconstruct_composite,
     separation_reconstruct_generalized,
 )

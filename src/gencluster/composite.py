@@ -300,9 +300,9 @@ def slot_names(prefix: str, r, interior: bool = False) -> list:
 def splitting_symbols(table: VariableTable, r, interior) -> ElementarySymbols:
     """The symbol set that eliminates the s-slots of the degrees r.
 
-    Each block's e-symbols of degree 1..r_i - 1 go to `interior`, listed
-    in the flat order of `slot_names(prefix, r, interior=True)`; the top
-    symbol of every block goes to 1.
+    Each block's e-symbols of degree 1..r_i - 1 go to `interior` (None for
+    0), in the flat order of `slot_names(prefix, r, interior=True)`; the
+    top symbol of every block goes to 1.
     """
     n = len(r)
     interior = iter(interior)
@@ -311,7 +311,7 @@ def splitting_symbols(table: VariableTable, r, interior) -> ElementarySymbols:
         blocks.append(SymbolBlock(
             s_idx=tuple(table.index(slot_name("s", i, l, n)) for l in range(r[i])),
             e_idx=tuple(table.index(slot_name("e", i, l, n)) for l in range(r[i])),
-            targets=tuple(next(interior) for _ in range(r[i] - 1)) + (RationalFunction.one(table),),
+            targets=tuple(next(interior) for _ in range(r[i] - 1)) + (FactoredFraction.one(table),),
         ))
     return ElementarySymbols(table, tuple(blocks))
 
@@ -486,7 +486,7 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
     for i in range(n):
         for zc in Z[i].coeffs[1:-1]:
             z = project_np(zc)
-            interior.append(RationalFunction.zero(table) if z is P0_ZERO else z.as_ratfn(table))
+            interior.append(None if z is P0_ZERO else z.as_factored(table))
     return Realization(
         table=table,
         layout=layout,

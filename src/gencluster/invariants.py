@@ -240,30 +240,6 @@ class CompositeInvariants(_InvariantWalk):
         return read_block_matrix(ExchangeMatrix(self.B), self.r)
 
 
-# -- public wrappers ---------------------------------------------------------
-
-
-def _engine(pattern: str, B: ExchangeMatrix, r, word):
-    if pattern in ("g", "generalized"):
-        return GeneralizedInvariants(B, r).walk(word)
-    if pattern in ("c", "composite"):
-        return CompositeInvariants(B, r).walk(word)
-    raise ValueError(f"unknown pattern {pattern!r}")
-
-
-def c_matrix(pattern: str, B: ExchangeMatrix, r, word):
-    return _engine(pattern, B, r, word).c_rows()
-
-
-def g_matrix(pattern: str, B: ExchangeMatrix, r, word):
-    return _engine(pattern, B, r, word).g_rows()
-
-
-def f_polynomials(pattern: str, B: ExchangeMatrix, r, word):
-    eng = _engine(pattern, B, r, word)
-    return eng.table, list(eng.F)
-
-
 # -- separation formulas -----------------------------------------------------
 
 
@@ -283,11 +259,11 @@ def _separate(seed0: GeneralizedSeed, eng: _InvariantWalk):
     n = seed0.n
     kind = seed0.y[0].kind
 
-    ring_assign = {j: y_hat(seed0, j).expand() for j in range(n)}
+    ring_assign = {j: y_hat(seed0, j) for j in range(n)}
     sf_assign = dict(enumerate(seed0.y))
     for (i, l), idx in eng.zpos.items():
         zc = seed0.Z[i].coeffs[l]
-        ring_assign[idx] = zc.as_ratfn(table)
+        ring_assign[idx] = zc.as_factored(table)
         sf_assign[idx] = project_np(zc)
 
     fden = [evaluate_poly_semifield(f, sf_assign, kind) for f in eng.F]
@@ -299,9 +275,8 @@ def _separate(seed0: GeneralizedSeed, eng: _InvariantWalk):
             g = eng.G[j][i]
             if g:
                 v = v * seed0.x[j] ** g
-        v = v * FactoredFraction.from_ratfn(cross_evaluate(eng.F[i], ring_assign, table))
-        v = v / fden[i].as_factored(table)
-        xs.append(v.expand())
+        v = v * cross_evaluate(eng.F[i], ring_assign, table)
+        xs.append((v / fden[i].as_factored(table)).expand())
 
     ys = []
     for i in range(n):

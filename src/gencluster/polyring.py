@@ -1176,16 +1176,18 @@ class _TermSum:
         return _poly(self.table, self.lay, self.d)
 
 
-def _as_unit_monomial(f: "RationalFunction"):
-    """Exponent vector if f is a single monomial with coefficient 1, else None."""
-    num, den = f.num, f.den
-    if len(num._d) != 1 or len(den._d) != 1:
+def _as_unit_monomial(f: "FactoredFraction"):
+    """Exponent vector if f is a product of coefficient-1 monomials, else None."""
+    if f is None:
         return None
-    (kn, cn), = num._d.items()
-    (kd, cd), = den._d.items()
-    if cn != 1 or cd != 1:
-        return None
-    return tuple(a - b for a, b in zip(num._lay.unpack(kn), den._lay.unpack(kd)))
+    out = [0] * len(f.table)
+    for p, e in f.factors.values():
+        if len(p._d) != 1 or 1 not in p._d.values():
+            return None
+        (k,) = p._d
+        for i, v in enumerate(p._lay.unpack(k)):
+            out[i] += e * v
+    return tuple(out)
 
 
 def render_poly(p: LaurentPolynomial) -> str:
@@ -1599,13 +1601,13 @@ def _bounded(p: LaurentPolynomial, term_limit) -> LaurentPolynomial:
     return p
 
 
-def ff_sum(terms, table) -> tuple:
-    """Every sum of fractions: the numerator and common denominator of sum(terms).
+def ff_sum(terms, table) -> "FactoredFraction | None":
+    """Every sum of fractions: sum(terms) factored, or None for 0.
 
     `terms` is a sequence of FactoredFractions on `table`. The common
     denominator carries each factor at its largest negative exponent among
-    the terms and stays factored (positive exponents); only the numerator,
-    sum of each term times it, is multiplied out. An empty sum is 0 over 1.
+    the terms and stays factored; only the numerator, sum of each term
+    times it, is multiplied out. An empty sum is 0.
     """
     common: dict = {}
     for f in terms:
@@ -1616,13 +1618,16 @@ def ff_sum(terms, table) -> tuple:
     num = _TermSum(table)
     for f in terms:
         num.add((f * den).expand_product())
-    return num.poly(), den
+    num = num.poly()
+    return FactoredFraction.from_poly(num) / den if num else None
 
 
 def ff_add(a: FactoredFraction, b: FactoredFraction) -> FactoredFraction:
     """Sum of two factored fractions (`ff_sum`); a zero sum raises ZeroDivisionError."""
-    num, den = ff_sum((a, b), a.table)
-    return FactoredFraction.from_poly(num) / den
+    total = ff_sum((a, b), a.table)
+    if total is None:
+        raise ZeroDivisionError("factored fractions are nonzero")
+    return total
 
 
 # -- block symmetry and elementary symmetric rewriting ----------------------
@@ -1772,8 +1777,8 @@ def elementary_reduce(p: LaurentPolynomial, blocks) -> LaurentPolynomial:
 class SymbolBlock:
     """One splitting block: its s-variables, e-symbol slots and e-targets.
 
-    `targets` has one rational function per degree 1..r; the top degree
-    target is the constant 1 by construction of the substitution.
+    `targets` has one FactoredFraction per degree 1..r, None for 0; the
+    top degree target is the constant 1 by construction of the substitution.
     """
 
     s_idx: tuple
@@ -1914,7 +1919,7 @@ def _orbit_norm(poly: LaurentPolynomial, slots: dict, symbols: ElementarySymbols
                 value = value + LaurentPolynomial.monomial(
                     table, {u: k, b.e_idx[j - k - 1]: 1}, (-1) ** k
                 )
-            assign[b.e_idx[j - 1]] = RationalFunction.from_poly(value)
+            assign[b.e_idx[j - 1]] = FactoredFraction.from_poly(value)
     if any(shift):
         poly = poly.shift(shift)
     try:
@@ -1922,7 +1927,7 @@ def _orbit_norm(poly: LaurentPolynomial, slots: dict, symbols: ElementarySymbols
     except NotBlockSymmetricError:
         raise PsiDomainError("not in domain of psi_hat") from None
     if assign:
-        form = cross_evaluate(form, assign, table).num
+        form = cross_evaluate(form, assign, table).expand_product()
     for n, a in slots.items():
         b = symbols.blocks[n]
         form = _norm(form, b.s_idx[a], b.e_idx)
@@ -1993,13 +1998,13 @@ def _orbit_images(ff: "FactoredFraction", symbols: ElementarySymbols,
         for k in members:
             del remaining[k]
         value = cross_evaluate(form, assign, form.table)
-        if value.is_zero():
+        if value is None:
             raise PsiKernelError(
                 "denominator in kernel of psi_hat"
                 if exp < 0
                 else "factor image vanishes under psi_hat"
             )
-        out = out * FactoredFraction.from_ratfn(value) ** exp
+        out = out * value ** exp
     return out
 
 
@@ -2041,29 +2046,29 @@ def psi_hat(f: RationalFunction, symbols: ElementarySymbols,
 
 
 def cross_evaluate(poly: LaurentPolynomial, assign: dict,
-                   target: VariableTable) -> "RationalFunction":
-    """Substitute rational functions for variables of a polynomial.
+                   target: VariableTable) -> "FactoredFraction":
+    """Substitute factored fractions for variables of a polynomial.
 
-    `assign` maps variable indices of poly's table to RationalFunction
-    values on `target`. When `target` is poly's own table, unassigned
-    variables stay; on another table, every variable the polynomial
-    supports must be assigned. When every value is a monomial with
-    coefficient 1 this is one exponent remap. Otherwise the terms that
-    share their exponents at the substituted variables are substituted
-    together, one factored product of powers per group, and the groups
-    are summed by `ff_sum`. A zero value drops every group it divides and
-    raises ZeroDivisionError if some group has it at a negative power.
+    `assign` maps variable indices of poly's table to FactoredFraction
+    values on `target`, or to None for 0. When `target` is poly's own
+    table, unassigned variables stay; on another table, every variable the
+    polynomial supports must be assigned. When every substituted value is
+    a product of coefficient-1 monomials this is one exponent remap.
+    Otherwise the terms that share their exponents at the substituted
+    variables are substituted together, one factored product of powers
+    per group, and the groups are summed by `ff_sum`. A zero value drops
+    every group it divides and raises ZeroDivisionError if some group has
+    it at a negative power. Returns the value factored, or None for 0.
     """
     keep = target is poly.table
     idx = sorted(i for i in poly.support_vars() if not keep or i in assign)
-    unit = {i: _as_unit_monomial(v) for i, v in assign.items()}
-    if None not in unit.values():
-        moves = [(i, unit[i]) for i in idx]
-        return RationalFunction.from_poly(_remap(poly, target, moves, keep))
-    values = {i: FactoredFraction.from_ratfn(assign[i]) if assign[i] else None for i in idx}
+    unit = [_as_unit_monomial(assign[i]) for i in idx]
+    if None not in unit:
+        out = _remap(poly, target, list(zip(idx, unit)), keep)
+        return FactoredFraction.from_poly(out) if out else None
     terms = []
     for exps, rest in split_terms(poly, idx).items():
-        powers = [(values[i], e) for i, e in zip(idx, exps) if e]
+        powers = [(assign[i], e) for i, e in zip(idx, exps) if e]
         if dead := [e for v, e in powers if v is None]:
             if min(dead) < 0:
                 raise ZeroDivisionError("negative power of zero")
@@ -2072,5 +2077,4 @@ def cross_evaluate(poly: LaurentPolynomial, assign: dict,
         for v, e in powers:
             value = value * v ** e
         terms.append(value)
-    num, den = ff_sum(terms, target)
-    return RationalFunction(num, den.expand_product())
+    return ff_sum(terms, target)

@@ -174,21 +174,17 @@ class SemifieldElement:
 
     def as_ratfn(self, table: VariableTable) -> RationalFunction:
         """This value as a rational function on the given table."""
-        if self.kind.kind == UNIVERSAL:
-            if self.payload.table is not table:
-                raise SemifieldMismatchError("semifield mismatch")
-            return self.payload.expand()
-        powers = {
-            name: e for name, e in zip(self.kind.generators, self.payload) if e
-        }
-        return RationalFunction.monomial(table, powers)
+        return self.as_factored(table).expand()
 
     def as_factored(self, table: VariableTable) -> FactoredFraction:
         if self.kind.kind == UNIVERSAL:
             if self.payload.table is not table:
                 raise SemifieldMismatchError("semifield mismatch")
             return self.payload
-        return FactoredFraction.from_ratfn(self.as_ratfn(table))
+        powers = {
+            name: e for name, e in zip(self.kind.generators, self.payload) if e
+        }
+        return FactoredFraction.from_poly(LaurentPolynomial.monomial(table, powers))
 
     def render(self) -> str:
         if self.kind.kind == UNIVERSAL:
@@ -343,15 +339,19 @@ class GroupRingElement:
     __hash__ = None
 
     def as_ratfn(self, table: VariableTable) -> RationalFunction:
-        """The sum of the terms as a rational function on the table (`ff_sum`)."""
+        """The sum of the terms as a rational function on the table."""
+        f = self.as_factored(table)
+        return RationalFunction.zero(table) if f is None else f.expand()
+
+    def as_factored(self, table: VariableTable):
+        """The sum of the terms as a FactoredFraction on the table (`ff_sum`), None for 0."""
         terms = []
         for mult, elem in self.terms:
             f = elem.as_factored(table)
             if mult != 1:
                 f = f * FactoredFraction.from_poly(LaurentPolynomial.constant(table, mult))
             terms.append(f)
-        num, den = ff_sum(terms, table)
-        return RationalFunction(num, den.expand_product())
+        return ff_sum(terms, table)
 
     def render(self) -> str:
         if not self.terms:
@@ -419,24 +419,18 @@ def evaluate_poly_semifield(poly: LaurentPolynomial, assign: dict, kind: Semifie
     variable assigned. Returns a semifield element or the zero marker.
     The universal addition is the ordinary one, so there the whole sum is
     one `cross_evaluate` of the assigned fractions, with the zero marker
-    sent to 0.
+    sent to 0 (None).
     """
     if any(c < 0 for c in poly.coefficients()):
         raise ValueError("not in NP")
     if kind.kind == UNIVERSAL:
-        support = poly.support_vars()
-        dead = {i for i in support if assign[i] is P0_ZERO}
-        if dead and min(poly.monomial_content()[i] for i in dead) < 0:
-            raise ZeroDivisionError("negative power of zero")
         table = kind.table
         values = {
-            i: RationalFunction.zero(table) if i in dead else assign[i].as_ratfn(table)
-            for i in support
+            i: None if assign[i] is P0_ZERO else assign[i].as_factored(table)
+            for i in poly.support_vars()
         }
         total = cross_evaluate(poly, values, table)
-        if total.is_zero():
-            return P0_ZERO
-        return SemifieldElement(kind, FactoredFraction.from_ratfn(total))
+        return P0_ZERO if total is None else SemifieldElement(kind, total)
     acc = None
     for powers, c in poly.sparse_terms():
         value = None

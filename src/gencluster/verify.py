@@ -232,21 +232,15 @@ def block_relations(label, fine, coarse, r, sig, failures) -> int:
     return tested
 
 
-def _relation_table(r):
-    return VariableTable(coefficient_names(r) + slot_names("s", r) + slot_names("e", r))
-
-
 def _relation_symbols(table, r):
     """Splitting symbols whose interior targets are the generators z_il."""
-    z = [RationalFunction.variable(table, nm) for nm in slot_names("z", r, interior=True)]
+    z = [FactoredFraction.variable(table, nm) for nm in slot_names("z", r, interior=True)]
     return splitting_symbols(table, r, z)
 
 
-def _f_relation_endpoint(ge, ce, r, failures, counter) -> None:
+def _f_relation_endpoint(ge, ce, table, symbols, failures, counter) -> None:
     """Direct endpoint comparison, both the block-product and swapped forms."""
-    n = ge.n
-    table = _relation_table(r)
-    symbols = _relation_symbols(table, r)
+    n, r = ge.n, ge.r
     pairs = block_pairs(r)
     offs = block_offsets(r)
 
@@ -259,13 +253,10 @@ def _f_relation_endpoint(ge, ce, r, failures, counter) -> None:
                     slot = swap[2]
                 elif m == swap[2]:
                     slot = swap[1]
-            assign[flat] = RationalFunction.monomial(
+            assign[flat] = FactoredFraction.from_poly(LaurentPolynomial.monomial(
                 table, {slot_name("s", j, slot, n): 1, f"y{j + 1}": 1}
-            )
+            ))
         return assign
-
-    def image(slot, assign):
-        return FactoredFraction.from_ratfn(cross_evaluate(ce.F[slot], assign, table))
 
     # both forms stay factored, so equal factors merge and every orbit's
     # product is rewritten once, in the symbols' orbit cache
@@ -274,7 +265,7 @@ def _f_relation_endpoint(ge, ce, r, failures, counter) -> None:
         rhs = FactoredFraction.from_poly(ge.F[i].transplant(table))
         prod = FactoredFraction.one(table)
         for l in range(r[i]):
-            prod = prod * image(offs[i] + l, base_assign)
+            prod = prod * cross_evaluate(ce.F[offs[i] + l], base_assign, table)
         lhs = psi_hat_factored(prod, symbols)
         counter[0] += 1
         if not ff_eq(lhs, rhs):
@@ -283,7 +274,8 @@ def _f_relation_endpoint(ge, ce, r, failures, counter) -> None:
         for l0 in range(r[i]):
             prod2 = FactoredFraction.one(table)
             for m in range(r[i]):
-                prod2 = prod2 * image(offs[i] + l0, split_assignment(swap=(i, l0, m)))
+                swapped = split_assignment(swap=(i, l0, m))
+                prod2 = prod2 * cross_evaluate(ce.F[offs[i] + l0], swapped, table)
             lhs2 = psi_hat_factored(prod2, symbols)
             counter[0] += 1
             if not ff_eq(lhs2, rhs):
@@ -453,7 +445,7 @@ def check_f_relation(B: ExchangeMatrix, r, word) -> CheckReport:
             for i in range(n)
         )
         if estimate <= _ENDPOINT_LIMIT:
-            _f_relation_endpoint(ge, ce, r, failures, counter)
+            _f_relation_endpoint(ge, ce, table, symbols, failures, counter)
     return _report("f-relation", word, failures, counter[0], started)
 
 
@@ -597,14 +589,17 @@ CHECKS = {
 
 # -- randomized instance generation ------------------------------------------
 
+# Size bounds of every random instance: rank, degree, exchange entry.
+_NMAX, _RMAX, _BMAX = 3, 3, 2
 
-def random_exchange_matrix(rng: random.Random, n: int, bmax: int = 2) -> ExchangeMatrix:
-    """Random skew-symmetrizable matrix with entries bounded by bmax."""
+
+def random_exchange_matrix(rng: random.Random, n: int) -> ExchangeMatrix:
+    """Random skew-symmetrizable matrix with entries bounded by _BMAX."""
     if rng.random() < 0.5:
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                v = rng.randint(-bmax, bmax)
+                v = rng.randint(-_BMAX, _BMAX)
                 rows[i][j] = v
                 rows[j][i] = -v
         return ExchangeMatrix.from_rows(rows, [1] * n)
@@ -619,10 +614,10 @@ def random_exchange_matrix(rng: random.Random, n: int, bmax: int = 2) -> Exchang
     return ExchangeMatrix.from_rows(rows, d)
 
 
-def random_instance(rng: random.Random, nmax: int = 3, rmax: int = 3, bmax: int = 2):
-    n = rng.randint(2, nmax)
-    r = tuple(rng.randint(1, rmax) for _ in range(n))
-    return random_exchange_matrix(rng, n, bmax), r
+def random_instance(rng: random.Random):
+    n = rng.randint(2, _NMAX)
+    r = tuple(rng.randint(1, _RMAX) for _ in range(n))
+    return random_exchange_matrix(rng, n), r
 
 
 def random_word(rng: random.Random, n: int, depth: int) -> tuple:
@@ -633,16 +628,14 @@ def random_word(rng: random.Random, n: int, depth: int) -> tuple:
     return tuple(word)
 
 
-def random_realization(rng: random.Random, nmax: int = 3, rmax: int = 3,
-                       bmax: int = 2) -> Realization:
-    B, r = random_instance(rng, nmax, rmax, bmax)
+def random_realization(rng: random.Random) -> Realization:
+    B, r = random_instance(rng)
     return build_realization(B.n, r, B.rows, B.d)
 
 
-def random_generalized_seed(rng: random.Random, nmax: int = 3, rmax: int = 3,
-                            bmax: int = 2):
+def random_generalized_seed(rng: random.Random):
     """Standalone random seed over its own small table, mixing semifield kinds."""
-    B, r = random_instance(rng, nmax, rmax, bmax)
+    B, r = random_instance(rng)
     n = B.n
     kind_name = rng.choice(("universal", "tropical", "trivial"))
     if kind_name == "universal":

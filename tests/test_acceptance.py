@@ -108,7 +108,7 @@ def test_criterion_4_enlargement_commutes_randomized():
     rng = random.Random(2024)
     started = time.perf_counter()
     for trial in range(100):
-        B, r = random_instance(rng, nmax=3, rmax=3, bmax=2)
+        B, r = random_instance(rng)
         word = random_word(rng, B.n, 6)
         report = check_enlargement_commutes(B, r, word)
         assert report.passed, f"trial {trial}: {report.witness}"

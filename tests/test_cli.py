@@ -114,6 +114,22 @@ def test_table_output_is_pinned(capsys, case, digest):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("seed, check, digest", [
+    ("case2", "all", "41c8bf32c3b728beed9bbc185cffab64e561b477d7b160b3e7d8ede24aa29b04"),
+    ("tropical", "y-realization",
+     "ba7d647b98101aa60acb32ea797d938aaad5aad1179c59b833a94d078f44a2d7"),
+])
+def test_verify_output_is_pinned(capsys, tmp_path, seed, check, digest):
+    # sha256 of the whole default output of `verify --check C --depth 3`;
+    # both pass through the splitting-variable elimination
+    if seed == "tropical":
+        seed = _tropical_document(tmp_path)
+    assert main(["verify", "--seed", seed, "--check", check, "--depth", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
 def test_mutate_rejects_non_reduced_word(capsys):
     assert main(["mutate", "--seed", "case1", "--word", "1,1"]) == 2
     assert "non-reduced word" in capsys.readouterr().err

@@ -46,7 +46,7 @@ def _symbols(table, blocks):
     return ElementarySymbols(
         table=table,
         blocks=tuple(
-            SymbolBlock(s, e, tuple(map(RationalFunction.from_poly, targets[(s, e)])))
+            SymbolBlock(s, e, tuple(map(FactoredFraction.from_poly, targets[(s, e)])))
             for s, e in blocks
         ),
     )
@@ -112,11 +112,11 @@ def test_elementary_reduce_matches_sympy_symmetrize(blocks):
         got = elementary_reduce(p, blocks)
         assert sympy.expand(_to_sympy(got, syms) - want) == 0
         # psi_hat is that e-form at the targets
-        at = {
-            syms[e]: _to_sympy(t.num, syms) / _to_sympy(t.den, syms)
-            for b in symbols.blocks
-            for e, t in zip(b.e_idx, b.targets)
-        }
+        at = {}
+        for b in symbols.blocks:
+            for e, t in zip(b.e_idx, b.targets):
+                num, den = t.expand_parts()
+                at[syms[e]] = _to_sympy(num, syms) / _to_sympy(den, syms)
         image = psi_hat(RationalFunction.from_poly(p), symbols)
         assert sympy.cancel(
             _to_sympy(image.num, syms) / _to_sympy(image.den, syms) - want.subs(at)
@@ -236,7 +236,7 @@ def _one_block_symbols(r):
         [f"s{i}" for i in range(1, r + 1)] + [f"e{i}" for i in range(1, r + 1)] + ["y", "z"]
     )
     block = SymbolBlock(
-        tuple(range(r)), tuple(range(r, 2 * r)), (RationalFunction.one(table),) * r
+        tuple(range(r)), tuple(range(r, 2 * r)), (FactoredFraction.one(table),) * r
     )
     return table, ElementarySymbols(table, (block,))
 
@@ -430,7 +430,7 @@ def test_other_orbit_shapes_take_the_expanded_route(monkeypatch):
     # a diagonal stabilizer: s11 s21 + s12 s22 has a free slot in each of two
     # 2-blocks but 2 members, not 4, so it is no iterated norm either
     table2 = VariableTable(["s11", "s12", "s21", "s22", "e11", "e12", "e21", "e22"])
-    one = RationalFunction.one(table2)
+    one = FactoredFraction.one(table2)
     blocks2 = (((0, 1), (4, 5)), ((2, 3), (6, 7)))
     symbols2 = ElementarySymbols(
         table2, tuple(SymbolBlock(s, e, (one, one)) for s, e in blocks2)

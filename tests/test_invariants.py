@@ -13,9 +13,6 @@ from gencluster.composite import (
 from gencluster.invariants import (
     CompositeInvariants,
     GeneralizedInvariants,
-    c_matrix,
-    f_polynomials,
-    g_matrix,
     separation_reconstruct_composite,
     separation_reconstruct_generalized,
 )
@@ -31,41 +28,37 @@ B2 = ExchangeMatrix.from_rows([[0, 1], [-2, 0]], (2, 1))
 R2 = (2, 3)
 
 
-def test_unknown_pattern_rejected():
-    with pytest.raises(ValueError, match="unknown pattern"):
-        c_matrix("bogus", B1, R1, ())
-
-
 def test_identity_at_the_root():
-    assert c_matrix("g", B2, R2, ()) == ((1, 0), (0, 1))
-    assert g_matrix("c", B2, R2, ()) == tuple(
+    assert GeneralizedInvariants(B2, R2).walk(()).c_rows() == ((1, 0), (0, 1))
+    assert CompositeInvariants(B2, R2).walk(()).g_rows() == tuple(
         tuple(1 if i == j else 0 for j in range(5)) for i in range(5)
     )
-    table, polys = f_polynomials("g", B1, R1, ())
-    assert all(p.is_one() for p in polys)
+    assert all(p.is_one() for p in GeneralizedInvariants(B1, R1).walk(()).F)
 
 
 def test_case2_reference_matrices():
-    assert c_matrix("g", B2, R2, (1, 2)) == ((11, -2), (6, -1))
-    assert c_matrix("c", B2, R2, (1, 2)) == (
+    assert GeneralizedInvariants(B2, R2).walk((1, 2)).c_rows() == ((11, -2), (6, -1))
+    assert CompositeInvariants(B2, R2).walk((1, 2)).c_rows() == (
         (5, 6, -1, -1, -1),
         (6, 5, -1, -1, -1),
         (2, 2, -1, 0, 0),
         (2, 2, 0, -1, 0),
         (2, 2, 0, 0, -1),
     )
-    assert g_matrix("g", B2, R2, (1, 2, 1)) == ((-11, -3), (40, 11))
+    assert GeneralizedInvariants(B2, R2).walk((1, 2, 1)).g_rows() == ((-11, -3), (40, 11))
 
 
 def test_case1_reference_polynomials():
-    table, polys = f_polynomials("g", B1, R1, (1,))
+    eng = GeneralizedInvariants(B1, R1).walk((1,))
+    table, polys = eng.table, eng.F
     z = LaurentPolynomial.variable(table, "z11")
     y1 = LaurentPolynomial.variable(table, "y1")
     one = LaurentPolynomial.one(table)
     assert polys[0] == one + z * y1 + y1 * y1
     assert polys[1].is_one()
 
-    ctable, cpolys = f_polynomials("c", B1, R1, (1, 2, 1))
+    ceng = CompositeInvariants(B1, R1).walk((1, 2, 1))
+    ctable, cpolys = ceng.table, ceng.F
     y11 = LaurentPolynomial.variable(ctable, "y11")
     y12 = LaurentPolynomial.variable(ctable, "y12")
     y21 = LaurentPolynomial.variable(ctable, "y21")
@@ -76,8 +69,10 @@ def test_case1_reference_polynomials():
 
 
 def test_case1_g_matrices_reference():
-    assert g_matrix("c", B1, R1, (1, 2, 1)) == ((1, 0, 0), (0, 1, 0), (-1, -1, -1))
-    assert g_matrix("g", B1, R1, (1, 2, 1)) == ((1, 0), (-2, -1))
+    assert CompositeInvariants(B1, R1).walk((1, 2, 1)).g_rows() == (
+        (1, 0, 0), (0, 1, 0), (-1, -1, -1)
+    )
+    assert GeneralizedInvariants(B1, R1).walk((1, 2, 1)).g_rows() == ((1, 0), (-2, -1))
 
 
 def test_tracked_polynomial_reversal():
@@ -361,7 +356,7 @@ def test_g_column_step_against_an_entrywise_oracle(monkeypatch):
     monkeypatch.setattr(_InvariantWalk, "_step", oracle_step)
     rng = random.Random(31)
     for _ in range(40):
-        B, r = random_instance(rng, rmax=3)
+        B, r = random_instance(rng)
         word = random_word(rng, B.n, 4)
         GeneralizedInvariants(B, r, track_f=False).walk(word)
         CompositeInvariants(B, r, track_f=False).walk(word)

@@ -253,7 +253,7 @@ def _split_setup():
             SymbolBlock(
                 s_idx=(1, 2),
                 e_idx=(3, 4),
-                targets=(RationalFunction.variable(table, "z"), RationalFunction.one(table)),
+                targets=(FactoredFraction.variable(table, "z"), FactoredFraction.one(table)),
             ),
         ),
     )

@@ -4,6 +4,7 @@ from operator import mul
 
 import pytest
 
+from gencluster import polyring
 from gencluster.polyring import (
     ElementarySymbols,
     FactoredFraction,
@@ -159,8 +160,8 @@ def _symbols_two(table, targets=None):
     """One block of two splitting variables with generic or given targets."""
     if targets is None:
         targets = (
-            RationalFunction.variable(table, "z"),
-            RationalFunction.one(table),
+            FactoredFraction.variable(table, "z"),
+            FactoredFraction.one(table),
         )
     return ElementarySymbols(
         table=table,
@@ -384,7 +385,7 @@ def test_cross_evaluate_monomial_and_general():
     p = P(src, [(1, {}), (2, {"u": 1}), (3, {"u": 1, "v": 2})])
     mono = cross_evaluate(
         p,
-        {0: RationalFunction.variable(dst, "a"), 1: RationalFunction.variable(dst, "b")},
+        {0: FactoredFraction.variable(dst, "a"), 1: FactoredFraction.variable(dst, "b")},
         dst,
     )
     assert mono == RationalFunction.from_poly(
@@ -393,20 +394,47 @@ def test_cross_evaluate_monomial_and_general():
     one = LaurentPolynomial.one(dst)
     a = LaurentPolynomial.variable(dst, "a")
     general = cross_evaluate(
-        p, {0: RationalFunction.from_poly(one + a), 1: RationalFunction.from_poly(a)}, dst
+        p, {0: FactoredFraction.from_poly(one + a), 1: FactoredFraction.from_poly(a)}, dst
     )
     expect = one + (one + a).scale(2) + ((one + a) * a * a).scale(3)
     assert general == RationalFunction.from_poly(expect)
     # on the polynomial's own table an unassigned variable stays
     one = LaurentPolynomial.one(src)
     v = LaurentPolynomial.variable(src, "v")
-    inv = RationalFunction.variable(src, "v", -1)
+    inv = FactoredFraction.variable(src, "v", -1)
     assert cross_evaluate(p, {0: inv}, src) == RationalFunction.from_poly(
         P(src, [(1, {}), (2, {"v": -1}), (3, {"v": 1})])
     )
     expect = one + (one + v).scale(2) + ((one + v) * v * v).scale(3)
-    assert cross_evaluate(p, {0: RationalFunction.from_poly(one + v)}, src) == (
+    assert cross_evaluate(p, {0: FactoredFraction.from_poly(one + v)}, src) == (
         RationalFunction.from_poly(expect)
+    )
+
+
+def test_cross_evaluate_remaps_past_unused_general_values(monkeypatch):
+    # only the substituted variables decide the path: w is absent from p, so
+    # its non-unit value (or a zero) leaves the one exponent remap in charge
+    src = VariableTable(["u", "v", "w"])
+    dst = VariableTable(["a", "b"])
+    p = P(src, [(1, {}), (2, {"u": 1}), (3, {"u": 1, "v": -2})])
+    one = LaurentPolynomial.one(dst)
+    a = LaurentPolynomial.variable(dst, "a")
+
+    def no_sum(terms, table):
+        raise AssertionError("the general path ran")
+
+    monkeypatch.setattr(polyring, "ff_sum", no_sum)
+    # u goes to a product of unit monomial factors, a^2 / b
+    unit = FactoredFraction.variable(dst, "a", 2) / FactoredFraction.variable(dst, "b")
+    want = P(dst, [(1, {}), (2, {"a": 2, "b": -1}), (3, {"a": 2, "b": -3})])
+    for unused in (FactoredFraction.from_poly(one + a.scale(2)), None):
+        assign = {0: unit, 1: FactoredFraction.variable(dst, "b"), 2: unused}
+        assert cross_evaluate(p, assign, dst) == RationalFunction.from_poly(want)
+    # on the polynomial's own table, with v unassigned and kept
+    own = {0: FactoredFraction.variable(src, "v"),
+           2: FactoredFraction.from_poly(LaurentPolynomial.variable(src, "w").scale(3))}
+    assert cross_evaluate(p, own, src) == RationalFunction.from_poly(
+        P(src, [(1, {}), (2, {"v": 1}), (3, {"v": -1})])
     )
 
 
@@ -430,11 +458,16 @@ def test_cross_evaluate_with_fraction_values_matches_sympy():
         )
 
     def frac(f):
-        return at(f.num, gens) / at(f.den, gens)
+        if f is None:
+            return field.zero
+        num, den = f.expand_parts()
+        return at(num, gens) / at(den, gens)
 
     def rand_fraction():
         num = rng.choice(pool) * rng.choice([one, a, b.scale(-3), c ** -1])
-        return RationalFunction(num, reduce(mul, rng.sample(pool, rng.randint(1, 2))))
+        dens = rng.sample(pool, rng.randint(1, 2))
+        return reduce(mul, (FactoredFraction.from_poly(d, -1) for d in dens),
+                      FactoredFraction.from_poly(num))
 
     def rand_poly():
         # exponents of both signs at every substituted variable
@@ -454,12 +487,12 @@ def test_cross_evaluate_with_fraction_values_matches_sympy():
     # two variables at one value: the sum cancels to exactly 0
     f = rand_fraction()
     p = P(src, [(1, {"u": 2, "w": -1}), (-1, {"v": 2, "w": -1})])
-    assert check(p, {0: f, 1: f, 2: rand_fraction()}).is_zero()
-    # a zero value drops the terms with it at a positive power ...
-    assign = {0: RationalFunction.zero(dst), 1: rand_fraction(), 2: rand_fraction()}
+    assert check(p, {0: f, 1: f, 2: rand_fraction()}) is None
+    # a zero value (None) drops the terms with it at a positive power ...
+    assign = {0: None, 1: rand_fraction(), 2: rand_fraction()}
     p = P(src, [(2, {"u": 1, "v": -1}), (3, {"v": 2}), (-1, {"v": -1, "w": 1}), (5, {"u": 2})])
-    assert not check(p, assign).is_zero()
-    assert check(P(src, [(1, {"u": 1, "v": -2})]), assign).is_zero()
+    assert check(p, assign) is not None
+    assert check(P(src, [(1, {"u": 1, "v": -2})]), assign) is None
     # ... and may have no negative power, whichever group it sits in
     with pytest.raises(ZeroDivisionError):
         cross_evaluate(p + P(src, [(1, {"u": -1, "w": 2})]), assign, dst)

@@ -404,8 +404,8 @@ def _psi_setup():
                 s_idx=(0, 1),
                 e_idx=(2, 3),
                 targets=(
-                    RationalFunction.variable(table, "z"),
-                    RationalFunction.one(table),
+                    FactoredFraction.variable(table, "z"),
+                    FactoredFraction.one(table),
                 ),
             ),
         ),
@@ -480,8 +480,8 @@ def test_psi_certifies_large_parts():
                 s_idx=block.s_idx,
                 e_idx=block.e_idx,
                 targets=(
-                    RationalFunction.from_poly(LaurentPolynomial.constant(table, 2)),
-                    RationalFunction.one(table),
+                    FactoredFraction.from_poly(LaurentPolynomial.constant(table, 2)),
+                    FactoredFraction.one(table),
                 ),
             ),
         ),
@@ -551,9 +551,9 @@ def test_psi_reciprocal_specialization():
                 s_idx=(0, 1, 2),
                 e_idx=(3, 4, 5),
                 targets=(
-                    RationalFunction.variable(table, "z21"),
-                    RationalFunction.variable(table, "z22"),
-                    RationalFunction.one(table),
+                    FactoredFraction.variable(table, "z21"),
+                    FactoredFraction.variable(table, "z22"),
+                    FactoredFraction.one(table),
                 ),
             ),
         ),
