@@ -95,12 +95,17 @@ def _require(cond, message):
         raise SeedDocumentError(message)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; `true` and `false` are not (bool subclasses int)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _norm_monomial(obj, field):
     _require(isinstance(obj, dict), f"{field}: monomial must be an object")
     out = []
     for name, e in sorted(obj.items()):
         _require(isinstance(name, str) and name, f"{field}: bad generator name")
-        _require(isinstance(e, int), f"{field}: exponents must be integers")
+        _require(_is_int(e), f"{field}: exponents must be integers")
         if e:
             out.append((name, e))
     return tuple(out)
@@ -110,25 +115,25 @@ def parse_seed_document(doc: dict) -> SeedDocument:
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("schema") == SCHEMA, f"schema must be {SCHEMA!r}")
     n = doc.get("rank")
-    _require(isinstance(n, int) and n >= 1, "rank: positive integer required")
+    _require(_is_int(n) and n >= 1, "rank: positive integer required")
     degree = doc.get("degree")
     _require(
         isinstance(degree, list) and len(degree) == n
-        and all(isinstance(v, int) and v >= 1 for v in degree),
+        and all(_is_int(v) and v >= 1 for v in degree),
         "degree: list of positive integers, one per direction",
     )
     B = doc.get("B")
     _require(
         isinstance(B, list) and len(B) == n
         and all(isinstance(row, list) and len(row) == n for row in B)
-        and all(isinstance(v, int) for row in B for v in row),
+        and all(_is_int(v) for row in B for v in row),
         "B: square integer matrix of size rank",
     )
     D = doc.get("D")
     if D is not None:
         _require(
             isinstance(D, list) and len(D) == n
-            and all(isinstance(v, int) and v > 0 for v in D),
+            and all(_is_int(v) and v > 0 for v in D),
             "D: positive integer diagonal of size rank",
         )
     sf = doc.get("semifield")
@@ -166,7 +171,7 @@ def parse_seed_document(doc: dict) -> SeedDocument:
             for t, term in enumerate(coeff):
                 _require(
                     isinstance(term, dict)
-                    and isinstance(term.get("multiplicity"), int),
+                    and _is_int(term.get("multiplicity")),
                     f"Z[{i}][{l}][{t}]: multiplicity/monomial object required",
                 )
                 mult = term["multiplicity"]
@@ -233,7 +238,7 @@ def cmd_mutate(args) -> int:
     print(f"B = {end.B.render()}")
     print(f"D = [{','.join(str(v) for v in end.B.symmetrizer())}]")
     for i in range(end.n):
-        print(f"x[{i + 1}] = {end.x[i].expand().render()}")
+        print(f"x[{i + 1}] = {end.x[i].render()}")
     for i in range(end.n):
         print(f"y[{i + 1}] = {end.y[i].render()}")
     for i in range(end.n):

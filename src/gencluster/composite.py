@@ -513,11 +513,11 @@ def initial_composite_seed(g: GeneralizedSeed, layout: RealizationLayout,
     for i in range(n):
         # y_i s_il: the slot's split variable shifts the numerator of y_i,
         # already checked subtraction-free on generators
-        y = g.y[i].as_ratfn(table)
-        den = FactoredFraction.from_poly(y.den, -1)
+        num, den = g.y[i].as_factored(table).expand_parts()
+        den = FactoredFraction.from_poly(den, -1)
         for cx, s in zip(layout.cx[i], layout.s[i]):
             xs.append(FactoredFraction.variable(table, table.names[cx]))
-            split = y.num.shift([int(v == s) for v in range(len(table))])
+            split = num.shift([int(v == s) for v in range(len(table))])
             ys.append(SemifieldElement(ext_kind, FactoredFraction.from_poly(split) * den))
     big = enlarge(g.B, r)
     binom = ExchangePolynomial.binomial(ext_kind)

@@ -14,7 +14,6 @@ rebuild cluster variables and coefficients from the invariants.
 from __future__ import annotations
 
 from functools import reduce
-from math import prod
 from operator import mul
 
 from .polyring import (
@@ -22,6 +21,7 @@ from .polyring import (
     LaurentPolynomial,
     VariableTable,
     cross_evaluate,
+    exchange_sum,
 )
 from .pattern import (
     ExchangeMatrix,
@@ -82,15 +82,11 @@ class _InvariantWalk:
         The numerator is the sum over l = 0..rk of c_l P^l N^(rk-l), where
         c_l is z_l times a y-monomial, and P and N are the products of
         F_j^|b_j| over the positive and negative entries b_j of the
-        B-column. `zcoeff(l)` gives z_l; None means unit coefficients.
-        With `fvals`/`table` overridden this assembles the same expression
-        over formal stand-ins, which is how the stepwise relation checker
-        compares engines without expanding anything big.
-
-        Horner's rule in the larger of P and N, say N, builds it as
-        S <- S * N + c_l * P^l: S and the running power P^l are multiplied
-        by one stored F_j at a time, and each term is added in place into
-        the fresh product, so no power of a big F_j is alive beside S.
+        B-column: the `exchange_sum` of the stored F_j, one factor each
+        time it is used. `zcoeff(l)` gives z_l; None means unit
+        coefficients. With `fvals`/`table` overridden this assembles the
+        same expression over formal stand-ins, which is how the stepwise
+        relation checker compares engines without expanding anything big.
 
         `products` caches P and N of B-columns that vanish on the
         directions `block`: stepping inside the block changes neither such
@@ -109,31 +105,14 @@ class _InvariantWalk:
             if colB not in products:
                 products[colB] = tuple([reduce(mul, s)] if s else [] for s in sides)
             sides = products[colB]
-        # P multiplies the sum from l = rk down, unless N is the larger
-        grow, power = sides
-        order = range(rk, -1, -1)
-        if prod(map(len, grow)) < prod(map(len, power)):
-            grow, power, order = power, grow, range(rk + 1)
-        num = acc = None
-        for l in order:
+        coeffs = []
+        for l in range(rk + 1):
             c = LaurentPolynomial.monomial(table, {
                 j: (rk - l) * pos(-row[k0]) + l * pos(row[k0]) for j, row in enumerate(self.C)
             })
-            z = LaurentPolynomial.one(table) if zcoeff is None else zcoeff(l)
-            if not z.is_one():
-                c = z * c
-            if num is None:
-                num = c
-                continue
-            for f in grow:
-                num = num * f
-            for f in power:
-                acc = f if acc is None else acc * f
-            if acc is not None:
-                # a product by 1 would still pass over every term of the other side
-                c = acc if c.is_one() else c * acc
-            num._add_owned(c)
-        return num
+            z = None if zcoeff is None else zcoeff(l)
+            coeffs.append(c if z is None or z.is_one() else z * c)
+        return exchange_sum(coeffs, *sides)
 
     def _step(self, f: int, zcoeff=None, products=None, block=()) -> None:
         """One mutation in direction f (0-based) of degree `degrees[f]`."""
@@ -309,4 +288,4 @@ def separation_reconstruct_composite(rz: Realization, word):
     """
     eng = CompositeInvariants(rz.g_seed.B, rz.r).walk(word)
     xs, ys = _separate(rz.c_seed.ordinary, eng)
-    return xs, [y.as_ratfn(rz.table) for y in ys]
+    return xs, [y.as_factored(rz.table).expand() for y in ys]

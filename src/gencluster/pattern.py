@@ -17,8 +17,9 @@ from operator import neg
 
 from .polyring import (
     FactoredFraction,
-    RationalFunction,
     VariableTable,
+    exchange_sum,
+    over_common_denominator,
 )
 from .semifield import (
     GroupRingElement,
@@ -332,14 +333,14 @@ def _mutated_variable(seed: GeneralizedSeed, k0: int, rk: int,
                       Zk: ExchangePolynomial, spec) -> FactoredFraction:
     """New cluster variable in direction k, in factored form.
 
-    With each exchange coefficient c_l = n_l / d_l (d_l = 1 for a Laurent
-    coefficient) and the hat-variable A / Bq, the exchange sum is
+    With the exchange coefficients c_l = n_l / d over their common
+    denominator d (`over_common_denominator`; d = 1 for Laurent
+    coefficients) and the hat-variable A / Bq, the exchange sum is
 
-        sum_l c_l (A / Bq)^l
-            = sum_l n_l prod_{m != l} d_m A^l Bq^(rk - l) / (prod_l d_l Bq^rk).
+        sum_l c_l (A / Bq)^l = exchange_sum(n, [A], [Bq]) / (d Bq^rk).
 
     Only that numerator is ever multiplied out; all remaining structure
-    (the old variable, the monomial multiplier, each d_l, the hat-variable
+    (the old variable, the monomial multiplier, d, the hat-variable
     denominator and the specialization) stays factored, so anything a later
     mutation divides away again cancels by exponent arithmetic.
     """
@@ -352,37 +353,21 @@ def _mutated_variable(seed: GeneralizedSeed, k0: int, rk: int,
             mult = mult * seed.x[j] ** e
 
     # the endpoint coefficients are 1 (ExchangePolynomial is monic)
-    unit = RationalFunction.one(table)
-    coeff_rfs = [unit if l in (0, rk) else None if c.is_zero() else c.as_ratfn(table)
-                 for l, c in enumerate(Zk.coeffs)]
-    dens = {l: c.den for l, c in enumerate(coeff_rfs) if c is not None and not c.den.is_one()}
-    A, Bq = hat.expand_parts()
-    # None stands for the power 0: a product by 1 would still pass over
-    # every term of the other side
-    a_pows, b_pows = [None, A], [None, Bq]
-    for _ in range(rk - 1):
-        a_pows.append(a_pows[-1] * A)
-        b_pows.append(b_pows[-1] * Bq)
-    znum = None
-    for l, c in enumerate(coeff_rfs):
-        if c is None:
-            continue
-        a, b = a_pows[l], b_pows[rk - l]
-        term = b if a is None else a if b is None else a * b
-        for factor in [c.num, *(d for m, d in dens.items() if m != l)]:
-            if not factor.is_one():
-                term = term * factor
-        znum = term if znum is None else znum + term
-    out = (
+    unit = FactoredFraction.one(table)
+    nums, den = over_common_denominator(
+        [unit if l in (0, rk) else None if c.is_zero() else c.as_factored(table)
+         for l, c in enumerate(Zk.coeffs)], table)
+    # the sides are the hat-variable's parts A and Bq; one equal to 1 is no
+    # factor, as a product by 1 would still pass over every term of the other
+    znum = exchange_sum(nums, *([] if p.is_one() else [p] for p in hat.expand_parts()))
+    return (
         seed.x[k0].inverse()
         * mult ** rk
         * FactoredFraction.from_poly(znum)
         * hat.negative_part() ** -rk
         * spec.as_factored(table).inverse()
+        / den
     )
-    for d in dens.values():
-        out = out * FactoredFraction.from_poly(d, -1)
-    return out
 
 
 def mutate_y_seed(seed: GeneralizedSeed, k: int) -> GeneralizedSeed:

@@ -13,7 +13,9 @@ only with a certificate of exactness, and otherwise the heap division
 decides. Fractions compute as `FactoredFraction`s, products of
 polynomial factors with integer exponents: products, powers and inverses
 merge exponents, and every sum of fractions is one `ff_sum` over the
-factor-wise common denominator, with only the numerator multiplied out.
+factor-wise common denominator, with only the numerator multiplied out;
+the exchange sum of a seed mutation or an F-polynomial step is one
+`exchange_sum`.
 A `RationalFunction` computes nothing; it is the expanded form, a pair
 of polynomials normalized only by integer content, monomial content and
 denominator sign, in which values are read in, compared and rendered.
@@ -36,7 +38,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 from operator import ge, or_
 
 
@@ -313,9 +315,6 @@ class LaurentPolynomial:
         d = self._d
         return len(d) == 1 and d.get(self._lay.zero) == 1
 
-    def is_monomial(self):
-        return len(self._d) == 1
-
     def support_vars(self):
         """Indices of variables appearing with a nonzero exponent."""
         lay = self._lay
@@ -397,7 +396,7 @@ class LaurentPolynomial:
 
     def __pow__(self, k: int):
         if k < 0:
-            if not self.is_monomial():
+            if len(self._d) != 1:
                 raise ValueError("negative power of a non-monomial polynomial")
             (key, c), = self._d.items()
             if c not in (1, -1):
@@ -1319,18 +1318,6 @@ class RationalFunction:
         return cls(p, LaurentPolynomial.one(p.table), _raw=True)
 
     @classmethod
-    def zero(cls, table):
-        return cls.from_poly(LaurentPolynomial.zero(table))
-
-    @classmethod
-    def one(cls, table):
-        return cls.from_poly(LaurentPolynomial.one(table))
-
-    @classmethod
-    def variable(cls, table, name, power=1):
-        return cls.from_poly(LaurentPolynomial.variable(table, name, power))
-
-    @classmethod
     def monomial(cls, table, powers, coeff=1):
         return cls.from_poly(LaurentPolynomial.monomial(table, powers, coeff))
 
@@ -1601,25 +1588,74 @@ def _bounded(p: LaurentPolynomial, term_limit) -> LaurentPolynomial:
     return p
 
 
-def ff_sum(terms, table) -> "FactoredFraction | None":
-    """Every sum of fractions: sum(terms) factored, or None for 0.
+def over_common_denominator(terms, table):
+    """Numerators of `terms` over their factor-wise common denominator.
 
-    `terms` is a sequence of FactoredFractions on `table`. The common
-    denominator carries each factor at its largest negative exponent among
-    the terms and stays factored; only the numerator, sum of each term
-    times it, is multiplied out. An empty sum is 0.
+    `terms` are FactoredFractions on `table`, None for 0. Returns the list
+    of each term times the denominator, multiplied out (None for None),
+    and the denominator, factored: each factor at its largest negative
+    exponent among the terms. A numerator may be its term's own factor:
+    the caller reads it and never changes it in place.
     """
     common: dict = {}
     for f in terms:
-        for key, (p, e) in f.factors.items():
+        for key, (p, e) in (f.factors.items() if f is not None else ()):
             if e < 0 and (key not in common or common[key][1] < -e):
                 common[key] = (p, -e)
     den = FactoredFraction(table, common)
+    return [None if f is None else (f * den).expand_product() for f in terms], den
+
+
+def ff_sum(terms, table) -> "FactoredFraction | None":
+    """Every sum of fractions: sum(terms) factored, or None for 0.
+
+    `terms` is a sequence of FactoredFractions on `table`, summed over
+    their common denominator (`over_common_denominator`): only the
+    numerator is multiplied out. An empty sum is 0.
+    """
+    nums, den = over_common_denominator(terms, table)
     num = _TermSum(table)
-    for f in terms:
-        num.add((f * den).expand_product())
+    for p in nums:
+        num.add(p)
     num = num.poly()
     return FactoredFraction.from_poly(num) / den if num else None
+
+
+def exchange_sum(coeffs, plus, minus) -> LaurentPolynomial:
+    """The exchange sum of coeffs[l] P^l N^(r-l) over l = 0..r = len(coeffs) - 1.
+
+    P and N are the products of the factor lists `plus` and `minus` (an
+    empty list is 1). A coefficient None is 0; the first and last are
+    nonzero. Horner's rule runs in the larger side by the product of its
+    factors' term counts, say N: S <- S * N + coeffs[l] * P^l, with S and
+    the running power P^l multiplied by one factor at a time and each term
+    added in place into the fresh product, so no power of a big factor is
+    alive beside S. Nothing passed in is changed.
+    """
+    grow, power = plus, minus
+    order = range(len(coeffs) - 1, -1, -1)
+    if prod(map(len, grow)) < prod(map(len, power)):
+        grow, power, order = power, grow, range(len(coeffs))
+    num = acc = None
+    for l in order:
+        c = coeffs[l]
+        if num is None:
+            num = c
+            continue
+        for f in grow:
+            num = num * f
+        for f in power:
+            acc = f if acc is None else acc * f
+        if c is None:
+            continue
+        if acc is not None:
+            # a product by 1 would still pass over every term of the other side
+            c = acc if c.is_one() else c * acc
+        if grow:
+            num._add_owned(c)
+        else:
+            num = num + c  # with no side to multiply by, num may be the caller's
+    return num
 
 
 def ff_add(a: FactoredFraction, b: FactoredFraction) -> FactoredFraction:

@@ -7,12 +7,12 @@ on no generators, whose single element is the empty vector. Universal
 elements are subtraction-free rational functions supported on
 designated generator variables of a shared table; each is stored in one
 form, a `FactoredFraction`, so products, powers and inverses merge
-factor exponents and nothing is multiplied out until a caller asks for
-`as_ratfn`. The module
-also provides the group-ring fragment used for exchange-polynomial
-coefficients (finite nonnegative integer combinations of semifield
-values), its projection onto the semifield-with-zero, and the
-specialization of an exchange polynomial at a semifield point.
+factor exponents and nothing is multiplied out until a caller expands
+what `as_factored` returns. The module also provides the group-ring
+fragment used for exchange-polynomial coefficients (finite nonnegative
+integer combinations of semifield values), its projection onto the
+semifield-with-zero, and the specialization of an exchange polynomial
+at a semifield point.
 """
 
 from __future__ import annotations
@@ -171,10 +171,6 @@ class SemifieldElement:
         return cls.tropical(kind, {name: power})
 
     # -- conversions -------------------------------------------------------
-
-    def as_ratfn(self, table: VariableTable) -> RationalFunction:
-        """This value as a rational function on the given table."""
-        return self.as_factored(table).expand()
 
     def as_factored(self, table: VariableTable) -> FactoredFraction:
         if self.kind.kind == UNIVERSAL:
@@ -337,11 +333,6 @@ class GroupRingElement:
         return True
 
     __hash__ = None
-
-    def as_ratfn(self, table: VariableTable) -> RationalFunction:
-        """The sum of the terms as a rational function on the table."""
-        f = self.as_factored(table)
-        return RationalFunction.zero(table) if f is None else f.expand()
 
     def as_factored(self, table: VariableTable):
         """The sum of the terms as a FactoredFraction on the table (`ff_sum`), None for 0."""

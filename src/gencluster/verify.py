@@ -526,10 +526,13 @@ def check_laurent_positive(seed0: GeneralizedSeed, word) -> CheckReport:
     end = walk(seed0, word)
     main = set()
     for x in seed0.x:
-        rf = x.expand()
-        if not (rf.den.is_one() and rf.num.is_monomial()):
+        # one factor: a variable not named before, at exponent 1 with coefficient 1
+        factors = list(x.factors.values())
+        used = factors[0][0].support_vars() if len(factors) == 1 and factors[0][1] == 1 else set()
+        if len(used) != 1 or used & main or factors[0][0] != LaurentPolynomial.variable(
+                seed0.table, seed0.table.names[min(used)]):
             raise ValueError("initial cluster variables must be plain variables")
-        main.update(rf.num.support_vars())
+        main |= used
     failures = []
     tested = 0
     for i in range(seed0.n):

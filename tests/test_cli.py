@@ -135,6 +135,25 @@ def test_mutate_rejects_non_reduced_word(capsys):
     assert "non-reduced word" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, put", [
+    ("rank", lambda doc: doc.update(rank=True)),
+    ("degree", lambda doc: doc["degree"].__setitem__(1, True)),
+    ("B", lambda doc: doc["B"][0].__setitem__(1, True)),
+    ("D", lambda doc: doc["D"].__setitem__(1, True)),
+    ("y[0]", lambda doc: doc["y"][0].update(y1=True)),
+    ("Z[0][1][0]", lambda doc: doc["Z"][0][1][0].update(multiplicity=True)),
+    ("Z[0][1][0]", lambda doc: doc["Z"][0][1][0]["monomial"].update(z11=True)),
+], ids=["rank", "degree", "B", "D", "y-exponent", "Z-multiplicity", "Z-exponent"])
+def test_seed_documents_reject_booleans_for_integers(capsys, tmp_path, field, put):
+    # JSON true reads as a Python bool, which is an int; the schema wants integers
+    doc = case_document(2)
+    put(doc)
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mutate", "--seed", str(path), "--word", "1"]) == 2
+    assert f"error: {field}" in capsys.readouterr().err
+
+
 def test_invariants_reference_output(capsys):
     assert main(
         ["invariants", "--seed", "case2", "--word", "1,2", "--pattern", "g", "--what", "c"]

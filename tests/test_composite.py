@@ -64,7 +64,7 @@ def test_initial_composite_seed_case1():
         {"s21": 1, "y2": 1},
     ]
     for flat, powers in enumerate(want):
-        assert cs.ordinary.y[flat].as_ratfn(table) == RationalFunction.monomial(
+        assert cs.ordinary.y[flat].as_factored(table) == RationalFunction.monomial(
             table, powers
         )
     assert cs.ordinary.B.rows == ((0, 0, -1), (0, 0, -1), (1, 1, 0))
@@ -121,11 +121,11 @@ def test_composite_first_block_coefficients_case1():
     assert sf_eq(cs.y(0, 0), sf_inv(y11))
     assert sf_eq(cs.y(0, 1), sf_inv(y12))
     # y21 (1 + y11) (1 + y12), with 1 + n/d = (d + n)/d
-    a, b, c = (y.as_ratfn(table) for y in (y21, y11, y12))
+    a, b, c = (y.as_factored(table).expand() for y in (y21, y11, y12))
     want = RationalFunction(
         a.num * (b.den + b.num) * (c.den + c.num), a.den * b.den * c.den
     )
-    assert cs.y(1, 0).as_ratfn(table) == want
+    assert cs.y(1, 0).as_factored(table) == want
 
 
 def test_block_matrix_stays_enlarged_along_walks():
@@ -241,7 +241,7 @@ def test_degree_one_realization_forces_splits_to_one():
     rz = build_realization(2, (1, 1), [[0, 1], [-1, 0]])
     table = rz.table
     for i in range(2):
-        split = rz.c_seed.y(i, 0).as_ratfn(table)
+        split = rz.c_seed.y(i, 0).as_factored(table)
         assert split == RationalFunction.monomial(
             table, {f"s{i + 1}1": 1, f"y{i + 1}": 1}
         )
@@ -306,8 +306,8 @@ def test_one_symbol_set_carries_the_group_ring_targets():
     )
     table = rz.table
     for block, Zi in zip(rz.symbols.blocks, rz.g_seed.Z):
-        want = [zc.as_ratfn(table) for zc in Zi.coeffs[1:-1]]
-        assert list(block.targets) == want + [RationalFunction.one(table)]
+        want = [zc.as_factored(table) for zc in Zi.coeffs[1:-1]]
+        assert list(block.targets) == want + [FactoredFraction.one(table)]
     from gencluster.verify import check_x_realization, check_y_realization
 
     for word in reduced_words(rz.n, 2):

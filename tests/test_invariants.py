@@ -249,7 +249,7 @@ def test_separation_matches_direct_composite(case, word):
     for a, b in zip(xs, end.ordinary.x):
         assert a == b
     for a, b in zip(ys, end.ordinary.y):
-        assert a == b.as_ratfn(rz.table)
+        assert a == b.as_factored(rz.table)
 
 
 def test_random_instances_shifted_entries_are_block_constant():

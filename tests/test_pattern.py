@@ -264,7 +264,7 @@ def _exchange_reference(seed, k0):
     one = LaurentPolynomial.one(table)
 
     def pair(f):
-        return f.num, f.den
+        return f.as_factored(table).expand_parts()
 
     def times(f, g, k=1):
         # f * g^k
@@ -272,19 +272,19 @@ def _exchange_reference(seed, k0):
         return f[0] * gn ** abs(k), f[1] * gd ** abs(k)
 
     rk = seed.r[k0]
-    hat = pair(seed.y[k0].as_ratfn(table))
+    hat = pair(seed.y[k0])
     mult = (one, one)
     for j, row in enumerate(seed.B.rows):
-        xj = pair(seed.x[j].expand())
+        xj = seed.x[j].expand_parts()
         hat = times(hat, xj, row[k0])
         mult = times(mult, xj, rk * max(-row[k0], 0))
     total = (LaurentPolynomial.zero(table), one)
     for l, c in enumerate(seed.Z[k0].coeffs):
         if not c.is_zero():
-            cn, cd = times(pair(c.as_ratfn(table)), hat, l)
+            cn, cd = times(pair(c), hat, l)
             total = (total[0] * cd + cn * total[1], total[1] * cd)
-    spec = pair(seed.Z[k0].specialize(seed.y[k0]).as_ratfn(table))
-    total = times(times(times(total, mult), pair(seed.x[k0].expand()), -1), spec, -1)
+    spec = pair(seed.Z[k0].specialize(seed.y[k0]))
+    total = times(times(times(total, mult), seed.x[k0].expand_parts(), -1), spec, -1)
     return RationalFunction(*total)
 
 
@@ -294,6 +294,35 @@ def test_non_laurent_coefficients_one_step_matches_the_exchange_sum():
     for k in (1, 2):
         got = mutate_seed(seed, k).x[k - 1]
         assert ff_eq(got, FactoredFraction.from_ratfn(_exchange_reference(seed, k - 1)))
+
+
+def test_shared_coefficient_denominator_enters_once():
+    # Z1 = 1 + z11/d u + z12/d u^2 + u^3 with d = 1 + y2: the exchange sum
+    # over the common denominator d is divided by d once, and that d
+    # cancels against the one in Z1|P(y1), so the new x1 has no factor d
+    table = VariableTable(["x1", "x2", "y1", "y2", "z11", "z12"])
+    kind = SemifieldKind.universal(table, ["y1", "y2", "z11", "z12"])
+    d = LaurentPolynomial.one(table) + LaurentPolynomial.variable(table, "y2")
+
+    def over_d(name):
+        value = RationalFunction(LaurentPolynomial.variable(table, name), d)
+        return GroupRingElement.of(SemifieldElement.universal(kind, value))
+
+    unit = GroupRingElement.one(kind)
+    seed = GeneralizedSeed(
+        table=table,
+        n=2,
+        r=(3, 1),
+        x=(FactoredFraction.variable(table, "x1"), FactoredFraction.variable(table, "x2")),
+        y=(SemifieldElement.generator(kind, "y1"), SemifieldElement.generator(kind, "y2")),
+        Z=(ExchangePolynomial((unit, over_d("z11"), over_d("z12"), unit)),
+           ExchangePolynomial((unit, unit))),
+        B=ExchangeMatrix.from_rows([[0, 1], [-1, 0]]),
+    )
+    validate_seed(seed)
+    got = mutate_seed(seed, 1).x[0]
+    assert ff_eq(got, FactoredFraction.from_ratfn(_exchange_reference(seed, 0)))
+    assert all(p != d for p, _ in got.factors.values())
 
 
 def test_non_laurent_coefficients_round_trip():

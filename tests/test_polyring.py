@@ -82,7 +82,7 @@ def test_ratfn_eq_examples(xy):
     one = LaurentPolynomial.one(xy)
     f = RationalFunction(x * x - one, x - one)
     assert f == RationalFunction.from_poly(x + one)
-    assert RationalFunction(one, x) == RationalFunction.variable(xy, "x", -1)
+    assert RationalFunction(one, x) == RationalFunction.monomial(xy, {"x": -1})
     y = LaurentPolynomial.variable(xy, "y")
     assert RationalFunction.from_poly(one + y) != RationalFunction.from_poly(one + y + y)
 
@@ -279,7 +279,7 @@ def test_psi_hat_rejects_asymmetric():
     table = _split_table()
     symbols = _symbols_two(table)
     with pytest.raises(PsiDomainError):
-        psi_hat(RationalFunction.variable(table, "s11"), symbols)
+        psi_hat(RationalFunction.monomial(table, {"s11": 1}), symbols)
 
 
 def test_psi_hat_multiplicative():

@@ -1,9 +1,10 @@
 """The Horner-built exchange numerator against the sum it stands for.
 
-`step_numerator` builds sum_l c_l P^l N^(rk-l) by Horner's rule in one of
-P and N. The oracle here writes the same sum out term by term: for each
-l, z_l times the y-monomial times every F_j^((rk-l)[-b_j]+ + l[b_j]+),
-multiplied out naively over exponent tuples. Engine states are drawn by
+`exchange_sum` builds sum_l c_l P^l N^(rk-l) by Horner's rule in one of
+P and N, and `step_numerator` calls it on the engine's F_j. The oracle
+here writes the same sum out term by term: for each l, z_l times the
+y-monomial times every F_j^((rk-l)[-b_j]+ + l[b_j]+), multiplied out
+naively over exponent tuples. Engine states are drawn by
 hypothesis (derandomized): the B-column, C and the F_j are set directly,
 as `step_numerator` reads nothing else.
 """
@@ -12,7 +13,7 @@ import pytest
 
 from gencluster.invariants import CompositeInvariants, GeneralizedInvariants
 from gencluster.pattern import ExchangeMatrix
-from gencluster.polyring import LaurentPolynomial, VariableTable
+from gencluster.polyring import LaurentPolynomial, VariableTable, exchange_sum
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -124,3 +125,53 @@ def test_composite_block_slots_share_their_column_products(r, word, k, specs):
         assert dict(got.terms) == oracle(eng, f, None, eng.F, len(eng.table))
     # the diagonal block of B is zero: every slot read one shared column entry
     assert len(products) == 1
+
+
+# -- the shared routine ------------------------------------------------------
+
+XY = VariableTable(["x", "y"])
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(-1, 2)] * 2), st.integers(-3, 3).filter(bool),
+    min_size=1, max_size=3,
+).map(lambda terms: LaurentPolynomial(XY, terms))
+sides = st.lists(small_polys, max_size=2)
+
+
+def termwise_exchange_sum(coeffs, plus, minus):
+    """sum_l coeffs[l] prod(plus)^l prod(minus)^(r-l), one factor at a time."""
+    r = len(coeffs) - 1
+    total = {}
+    for l, c in enumerate(coeffs):
+        if c is None:
+            continue
+        term = dict(c.terms)
+        for f in plus * l + minus * (r - l):
+            term = naive_mul(term, dict(f.terms))
+        for e, v in term.items():
+            total[e] = total.get(e, 0) + v
+    return {e: v for e, v in total.items() if v}
+
+
+one_term = LaurentPolynomial.monomial(XY, {"x": 1})
+wide = LaurentPolynomial(XY, {(0, 0): 1, (1, 0): 2, (0, 1): 1})
+
+
+@SETTINGS
+@hypothesis.example(ends=[wide, one_term], interior=[None, None], plus=[], minus=[])
+@hypothesis.example(ends=[wide, wide], interior=[one_term], plus=[], minus=[one_term])
+@hypothesis.example(ends=[one_term, wide], interior=[None], plus=[wide], minus=[])
+@hypothesis.example(ends=[wide, one_term], interior=[wide, None], plus=[one_term], minus=[wide])
+@hypothesis.example(ends=[one_term, one_term], interior=[], plus=[wide, wide], minus=[one_term])
+@hypothesis.given(
+    ends=st.lists(small_polys, min_size=2, max_size=2),
+    interior=st.lists(st.one_of(st.none(), small_polys), max_size=2),
+    plus=sides,
+    minus=sides,
+)
+def test_exchange_sum_matches_the_termwise_sum(ends, interior, plus, minus):
+    coeffs = [ends[0], *interior, ends[1]]
+    before = [None if p is None else dict(p.terms) for p in coeffs + plus + minus]
+    got = exchange_sum(coeffs, plus, minus)
+    assert dict(got.terms) == termwise_exchange_sum(coeffs, plus, minus)
+    # nothing passed in was added into, whichever side Horner's rule ran in
+    assert [None if p is None else dict(p.terms) for p in coeffs + plus + minus] == before

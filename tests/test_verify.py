@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -6,6 +7,7 @@ from gencluster import polyring
 from gencluster.cases import case_realization
 from gencluster.invariants import CompositeInvariants
 from gencluster.pattern import ExchangeMatrix, reduced_words
+from gencluster.polyring import FactoredFraction, LaurentPolynomial
 from gencluster.verify import (
     CheckReport,
     check_cg_relations,
@@ -215,6 +217,22 @@ def test_laurent_positive_cases(case):
         assert report.passed and report.tested == rz.n
     if case == 1:
         assert check_laurent_positive(rz.g_seed, (2, 1, 2, 1)).passed
+
+
+@pytest.mark.parametrize("x1", ["1/x1", "x1*x2", "2*x1", "x2"])
+def test_laurent_positive_needs_distinct_plain_initial_variables(x1):
+    # the check reads the initial cluster as variables: anything else, or a
+    # variable named twice, is outside its domain
+    seed = case_realization(1).g_seed
+    table = seed.table
+    value = {
+        "1/x1": FactoredFraction.variable(table, "x1", -1),
+        "x1*x2": FactoredFraction.from_poly(LaurentPolynomial.monomial(table, {"x1": 1, "x2": 1})),
+        "2*x1": FactoredFraction.from_poly(LaurentPolynomial.monomial(table, {"x1": 1}, 2)),
+        "x2": FactoredFraction.variable(table, "x2"),
+    }[x1]
+    with pytest.raises(ValueError, match="must be plain variables"):
+        check_laurent_positive(replace(seed, x=(value,) + seed.x[1:]), (1, 2))
 
 
 def test_reports_never_pass_vacuously():
