@@ -16,7 +16,7 @@ from itertools import chain, repeat
 from .polyring import (
     ElementarySymbols,
     FactoredFraction,
-    RationalFunction,
+    LaurentPolynomial,
     SymbolBlock,
     VariableTable,
     ff_add,
@@ -449,7 +449,7 @@ def build_realization(n, r, B_rows, D=None, kind="universal", generators=None,
     def base_element(mono: dict) -> SemifieldElement:
         if base_kind.kind == "universal":
             return SemifieldElement.universal(
-                base_kind, RationalFunction.monomial(table, mono)
+                base_kind, FactoredFraction.from_poly(LaurentPolynomial.monomial(table, mono))
             )
         return SemifieldElement.tropical(base_kind, mono)
 

@@ -26,7 +26,7 @@ from .polyring import (
 from .pattern import (
     ExchangeMatrix,
     GeneralizedSeed,
-    check_word,
+    fold_word,
     mutate_B,
     pos,
     y_hat,
@@ -60,8 +60,8 @@ class _InvariantWalk:
     their degrees and formal z-coefficients, the composite one in the
     pseudo-rank directions of the enlarged matrix, all of degree one with
     unit coefficients. Variable j of `table` is the y-variable of
-    direction j. A subclass sets `r`, the degrees of the directions it
-    walks in, and `step`, which walks one of them.
+    direction j. A subclass sets `n` and `r`, the number and degrees of
+    the directions a word walks in, and `step`, which walks one of them.
     """
 
     def __init__(self, B: ExchangeMatrix, degrees, names, track_f: bool):
@@ -142,9 +142,8 @@ class _InvariantWalk:
         self.G = newG
 
     def walk(self, word):
-        for k in check_word(word, len(self.r)):
-            self.step(k)
-        return self
+        """`fold_word` with this engine's step, looked up on its class at call time."""
+        return fold_word(self, word, type(self).step)
 
     def c_rows(self):
         return tuple(tuple(row) for row in self.C)
@@ -191,7 +190,7 @@ class CompositeInvariants(_InvariantWalk):
     """
 
     def __init__(self, B: ExchangeMatrix, r, track_f: bool = True):
-        self.nblocks = B.n
+        self.n = B.n
         self.r = tuple(r)
         self.pairs = block_pairs(self.r)
         self.offsets = block_offsets(self.r)
@@ -255,6 +254,8 @@ def _separate(seed0: GeneralizedSeed, eng: _InvariantWalk):
             if g:
                 v = v * seed0.x[j] ** g
         v = v * cross_evaluate(eng.F[i], ring_assign, table)
+        # kept expanded: perfbench/spans.py times RationalFunction.__eq__
+        # (layer polyring.ratfn_eq), which comparing these xs exercises
         xs.append((v / fden[i].as_factored(table)).expand())
 
     ys = []
@@ -283,9 +284,10 @@ def separation_reconstruct_composite(rz: Realization, word):
     """Composite-side separation: rebuild all per-slot variables at a vertex.
 
     The composite pattern is the degree-one pattern on the enlarged
-    matrix, so this is the same formula on the composite seed; the
-    coefficients come back as rational functions.
+    matrix, so this is the same formula on the composite seed. The
+    cluster variables come back expanded, as `RationalFunction`s, and the
+    coefficients as `FactoredFraction`s.
     """
     eng = CompositeInvariants(rz.g_seed.B, rz.r).walk(word)
     xs, ys = _separate(rz.c_seed.ordinary, eng)
-    return xs, [y.as_factored(rz.table).expand() for y in ys]
+    return xs, [y.as_factored(rz.table) for y in ys]

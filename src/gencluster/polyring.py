@@ -16,9 +16,12 @@ merge exponents, and every sum of fractions is one `ff_sum` over the
 factor-wise common denominator, with only the numerator multiplied out;
 the exchange sum of a seed mutation or an F-polynomial step is one
 `exchange_sum`.
-A `RationalFunction` computes nothing; it is the expanded form, a pair
-of polynomials normalized only by integer content, monomial content and
-denominator sign, in which values are read in, compared and rendered.
+Values are also read in, eliminated and rendered as FactoredFractions.
+A `RationalFunction` is only the expanded output form of the separation
+formula's cluster variables and of `psi_hat`, kept because the
+benchmark's spans (`perfbench/spans.py`) wrap its `__eq__` and read
+`psi_hat`'s `.num` and `.den`; once they do not, it, `from_ratfn` and
+`psi_hat` can go.
 Every equality of fractions, in either operand order, is decided by
 `ff_eq`: factor cancellation, then exact cofactor division or
 cross-multiplication, never a canonical form, so no multivariate GCD is
@@ -1267,74 +1270,58 @@ def _spans(d: dict, lay: KeyLayout) -> list:
     return out
 
 
+def normalize_fraction(num: LaurentPolynomial, den: LaurentPolynomial):
+    """The normal form of num/den, as a (num, den) pair.
+
+    The denominator loses its monomial content and gets a positive
+    leading coefficient (lex order), the parts lose their common integer
+    content, and a zero or equal pair becomes 0/1 or 1/1. Nothing
+    stronger is attempted.
+    """
+    _check_table(num, den)
+    if den.is_one():
+        return num, den
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    one = LaurentPolynomial.one(num.table)
+    if num.is_zero():
+        return num, one
+    if num == den:
+        return one, one
+    neg = tuple(-e for e in den.monomial_content())
+    if any(neg):
+        num, den = num.shift(neg), den.shift(neg)
+    g = gcd(num.int_content(), den.int_content())
+    if den.lead_coeff() < 0:
+        g = -g
+    if g != 1:
+        num, den = num.divide_int(g), den.divide_int(g)
+    return num, den
+
+
+def render_fraction(num: LaurentPolynomial, den: LaurentPolynomial) -> str:
+    """num/den as text: the numerator alone over 1, multi-term parts in parentheses."""
+    if den.is_one():
+        return num.render()
+    return "/".join(f"({p.render()})" if len(p) > 1 else p.render() for p in (num, den))
+
+
 class RationalFunction:
     """Quotient of two Laurent polynomials over the same table, expanded.
 
-    The form in which fractions are read in, compared and rendered; it has
-    no arithmetic (fractions compute as FactoredFractions, see `ff_sum`).
-    Normalization divides both parts by the denominator's monomial content
-    (so the denominator has none), makes the coefficient of its
-    lexicographically largest term positive, and cancels the common
-    integer content of the two parts. Nothing stronger is attempted.
-    Equality, with a RationalFunction or a FactoredFraction, is `ff_eq`.
+    Only an output form (see the module docstring), with no arithmetic;
+    its parts are in the normal form of `normalize_fraction`. Equality,
+    with a RationalFunction or a FactoredFraction, is `ff_eq`.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial, _raw=False):
-        _check_table(num, den)
-        if _raw:
-            self.num = num
-            self.den = den
-            return
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = num
-            self.den = LaurentPolynomial.one(num.table)
-            return
-        if num == den:
-            self.num = LaurentPolynomial.one(num.table)
-            self.den = LaurentPolynomial.one(num.table)
-            return
-        mden = den.monomial_content()
-        if any(mden):
-            neg = tuple(-e for e in mden)
-            num = num.shift(neg)
-            den = den.shift(neg)
-        g = gcd(num.int_content(), den.int_content())
-        if den.lead_coeff() < 0:
-            g = -g
-        if g != 1:
-            num = num.divide_int(g)
-            den = den.divide_int(g)
-        self.num = num
-        self.den = den
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_poly(cls, p: LaurentPolynomial):
-        return cls(p, LaurentPolynomial.one(p.table), _raw=True)
-
-    @classmethod
-    def monomial(cls, table, powers, coeff=1):
-        return cls.from_poly(LaurentPolynomial.monomial(table, powers, coeff))
+    def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial):
+        self.num, self.den = normalize_fraction(num, den)
 
     @property
     def table(self):
         return self.num.table
-
-    # -- predicates --------------------------------------------------------
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_one(self):
-        return self.num == self.den
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, (RationalFunction, FactoredFraction)):
@@ -1344,15 +1331,7 @@ class RationalFunction:
     __hash__ = None
 
     def render(self) -> str:
-        if self.den.is_one():
-            return self.num.render()
-        num = self.num.render()
-        den = self.den.render()
-        if len(self.num) > 1:
-            num = f"({num})"
-        if len(self.den) > 1:
-            den = f"({den})"
-        return f"{num}/{den}"
+        return render_fraction(self.num, self.den)
 
     def __repr__(self):
         return f"<ratfn {self.render()}>"
@@ -1361,7 +1340,7 @@ class RationalFunction:
 def _fraction_eq(f, g) -> bool:
     """Both `__eq__` methods: zero equals only zero, all else is `ff_eq`."""
     _check_table(f, g)
-    zero = [isinstance(h, RationalFunction) and not h for h in (f, g)]
+    zero = [isinstance(h, RationalFunction) and h.num.is_zero() for h in (f, g)]
     if any(zero):
         return all(zero)
     f, g = (FactoredFraction.from_ratfn(h) if isinstance(h, RationalFunction) else h
@@ -1486,14 +1465,15 @@ class FactoredFraction:
         return RationalFunction(num, den)
 
     def __eq__(self, other):
-        if not isinstance(other, (RationalFunction, FactoredFraction)):
+        # an expanded operand answers through its own, reflected __eq__
+        if not isinstance(other, FactoredFraction):
             return NotImplemented
         return _fraction_eq(self, other)
 
     __hash__ = None
 
     def render(self) -> str:
-        return self.expand().render()
+        return render_fraction(*normalize_fraction(*self.expand_parts()))
 
     def __repr__(self):
         return f"<ff {len(self.factors)} factors>"
@@ -2057,8 +2037,8 @@ def psi_hat_factored(ff: "FactoredFraction", symbols: ElementarySymbols,
     orbit's e-form is certified, whatever its size; the cone is closed
     under products, so that certifies the fraction. An orbit that is not
     complete, or whose e-form leaves the cone, sends the whole fraction
-    once more through the same loop as `from_ratfn(ff.expand())`, whose
-    numerator and denominator are each an orbit of one: a part that is
+    once more through the same loop as its normalized numerator and
+    denominator (`normalize_fraction`), each an orbit of one: a part that is
     not block-symmetric raises PsiDomainError, a signed one PsiConeError.
     The result stays factored, one factor per orbit image.
     """
@@ -2066,7 +2046,9 @@ def psi_hat_factored(ff: "FactoredFraction", symbols: ElementarySymbols,
         return _orbit_images(ff, symbols, require_nonneg)
     except PsiDomainError:
         # an orbit can leave the cone while the whole fraction is in it
-        return _orbit_images(FactoredFraction.from_ratfn(ff.expand()), symbols, require_nonneg)
+        num, den = normalize_fraction(*ff.expand_parts())
+        whole = FactoredFraction.from_poly(num) * FactoredFraction.from_poly(den, -1)
+        return _orbit_images(whole, symbols, require_nonneg)
 
 
 def psi_hat(f: RationalFunction, symbols: ElementarySymbols,

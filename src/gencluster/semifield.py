@@ -23,12 +23,12 @@ from .polyring import (
     ElementarySymbols,
     FactoredFraction,
     LaurentPolynomial,
-    RationalFunction,
     VariableTable,
     cross_evaluate,
     ff_add,
     ff_eq,
     ff_sum,
+    normalize_fraction,
     psi_hat_factored,
 )
 
@@ -146,21 +146,21 @@ class SemifieldElement:
         return cls(kind, exponents)
 
     @classmethod
-    def universal(cls, kind: SemifieldKind, value: RationalFunction):
+    def universal(cls, kind: SemifieldKind, value: FactoredFraction | None):
+        """`value` (None is 0), stored as given and judged on its normalized expansion."""
         if kind.kind != UNIVERSAL:
             raise SemifieldMismatchError("semifield mismatch")
+        if value is None:
+            raise ValueError("zero is not a semifield element")
         if value.table is not kind.table:
             raise SemifieldMismatchError("semifield mismatch")
-        if value.is_zero():
-            raise ValueError("zero is not a semifield element")
-        if any(c < 0 for c in value.num.coefficients()) or any(
-            c < 0 for c in value.den.coefficients()
-        ):
+        parts = normalize_fraction(*value.expand_parts())
+        if any(c < 0 for p in parts for c in p.coefficients()):
             raise ValueError("universal elements must be subtraction-free")
         allowed = set(kind.gen_idx)
-        if not (value.num.support_vars() <= allowed and value.den.support_vars() <= allowed):
+        if not all(p.support_vars() <= allowed for p in parts):
             raise ValueError("universal element mentions a non-generator variable")
-        return cls(kind, FactoredFraction.from_ratfn(value))
+        return cls(kind, value)
 
     @classmethod
     def generator(cls, kind: SemifieldKind, name: str, power: int = 1):

@@ -18,11 +18,10 @@ from math import gcd
 from .polyring import (
     FactoredFraction,
     LaurentPolynomial,
-    RationalFunction,
     VariableTable,
     cross_evaluate,
     ff_eq,
-    psi_hat,
+    normalize_fraction,
     psi_hat_factored,
     split_terms,
     swap_variables,
@@ -368,13 +367,14 @@ def _f_relation_step(ge, ce, k, table, symbols, failures, counter) -> None:
             table, {slot_name("s", k0, l, n): sigma, "qarg": 1}
         )
         qprod = qprod * factor
-    qimage = psi_hat(RationalFunction.from_poly(qprod), symbols)
+    qimage = psi_hat_factored(FactoredFraction.from_poly(qprod), symbols)
+    qnum, qden = normalize_fraction(*qimage.expand_parts())
     counter[0] += 1
-    if not qimage.den.is_one():
+    if not qden.is_one():
         failures.append("whole-block exchange factor did not reduce cleanly")
         return
     gamma = {table.index("qarg"): _gamma_monomial(table, gamma_y, bcore, k0, n)}
-    lhs = prefix * qimage.num.substitute_monomials(gamma)
+    lhs = prefix * qnum.substitute_monomials(gamma)
 
     phi_vals = [
         LaurentPolynomial.variable(table, f"phi{j + 1}") for j in range(n)
@@ -485,7 +485,7 @@ def relation_suite(B: ExchangeMatrix, r, depth: int = 4):
 
 def _f_symmetry_from_engine(ce: CompositeInvariants, word) -> CheckReport:
     started = time.perf_counter()
-    n = ce.nblocks
+    n = ce.n
     r = ce.r
     pairs = ce.pairs
     offs = ce.offsets

@@ -130,6 +130,24 @@ def test_verify_output_is_pinned(capsys, tmp_path, seed, check, digest):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("make", [_tropical_document, _trivial_document])
+def test_verify_all_skips_x_realization_off_universal_bases(capsys, tmp_path, make):
+    # `all` runs every check defined for the base and reports the skip;
+    # x-realization alone is still refused
+    seed = make(tmp_path)
+    assert main(["verify", "--seed", seed, "--check", "all", "--depth", "2"]) == 0
+    captured = capsys.readouterr()
+    note, = captured.err.splitlines()
+    assert note.startswith("note: skipped x-realization: it requires universal coefficients")
+    summary = json.loads(captured.out.splitlines()[-1])
+    assert summary["pass"] is True and summary["skipped"] == ["x-realization"]
+    assert {c["name"] for c in summary["checks"]} == set(cli.CHECKS) - {"x-realization"}
+    assert main(["verify", "--seed", seed, "--check", "x-realization", "--depth", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x-realization checking requires universal coefficients" in captured.err
+
+
 def test_mutate_rejects_non_reduced_word(capsys):
     assert main(["mutate", "--seed", "case1", "--word", "1,1"]) == 2
     assert "non-reduced word" in capsys.readouterr().err

@@ -18,12 +18,21 @@ from gencluster.composite import (
     sigma_of_word,
 )
 from gencluster.pattern import ExchangeMatrix, mutate_seed, reduced_words, walk, walk_y
-from gencluster.polyring import FactoredFraction, RationalFunction, psi_hat_factored
+from gencluster.polyring import (
+    FactoredFraction,
+    LaurentPolynomial,
+    RationalFunction,
+    psi_hat_factored,
+)
 from gencluster.semifield import psi, sf_eq, sf_inv, sf_mul, sf_pow
 from gencluster.verify import random_realization
 
 
 EXAMPLE_B = ExchangeMatrix.from_rows([[0, 1], [-2, 0]])
+
+
+def _monomial(table, powers):
+    return FactoredFraction.from_poly(LaurentPolynomial.monomial(table, powers))
 
 
 def test_enlargement_example():
@@ -64,9 +73,7 @@ def test_initial_composite_seed_case1():
         {"s21": 1, "y2": 1},
     ]
     for flat, powers in enumerate(want):
-        assert cs.ordinary.y[flat].as_factored(table) == RationalFunction.monomial(
-            table, powers
-        )
+        assert cs.ordinary.y[flat].as_factored(table) == _monomial(table, powers)
     assert cs.ordinary.B.rows == ((0, 0, -1), (0, 0, -1), (1, 1, 0))
 
 
@@ -140,8 +147,8 @@ def test_aggregates_initial_and_depth_one():
     rz = case_realization(1)
     agg0 = aggregates(rz.c_seed, rz.g_seed)
     table = rz.table
-    assert agg0.X[0] == RationalFunction.monomial(table, {"x11": 1, "x12": 1})
-    assert agg0.X[1] == RationalFunction.monomial(table, {"x21": 1})
+    assert agg0.X[0] == _monomial(table, {"x11": 1, "x12": 1})
+    assert agg0.X[1] == _monomial(table, {"x21": 1})
 
     g1 = walk(rz.g_seed, (1,))
     c1 = composite_walk(rz.c_seed, (1,))
@@ -242,9 +249,7 @@ def test_degree_one_realization_forces_splits_to_one():
     table = rz.table
     for i in range(2):
         split = rz.c_seed.y(i, 0).as_factored(table)
-        assert split == RationalFunction.monomial(
-            table, {f"s{i + 1}1": 1, f"y{i + 1}": 1}
-        )
+        assert split == _monomial(table, {f"s{i + 1}1": 1, f"y{i + 1}": 1})
         image = psi(rz.c_seed.y(i, 0), rz.symbols, rz.base_kind)
         assert sf_eq(
             image,

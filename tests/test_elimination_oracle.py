@@ -117,7 +117,7 @@ def test_elementary_reduce_matches_sympy_symmetrize(blocks):
             for e, t in zip(b.e_idx, b.targets):
                 num, den = t.expand_parts()
                 at[syms[e]] = _to_sympy(num, syms) / _to_sympy(den, syms)
-        image = psi_hat(RationalFunction.from_poly(p), symbols)
+        image = psi_hat(RationalFunction(p, LaurentPolynomial.one(table)), symbols)
         assert sympy.cancel(
             _to_sympy(image.num, syms) / _to_sympy(image.den, syms) - want.subs(at)
         ) == 0

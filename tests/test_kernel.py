@@ -285,8 +285,9 @@ def test_elimination_survives_a_widening():
     assert dict(elementary_reduce(product, blocks).terms) == dict(
         elementary_reduce(fresh_product, blocks).terms
     )
-    image = psi_hat(RationalFunction.from_poly(product), symbols)
-    fresh = psi_hat(RationalFunction.from_poly(fresh_product), fresh_symbols)
+    image = psi_hat(RationalFunction(product, LaurentPolynomial.one(table)), symbols)
+    fresh_one = LaurentPolynomial.one(fresh_table)
+    fresh = psi_hat(RationalFunction(fresh_product, fresh_one), fresh_symbols)
     assert dict(image.num.terms) == dict(fresh.num.terms)
     assert dict(image.den.terms) == dict(fresh.den.terms)
     assert psi_hat_factored(ff, symbols).expand().render() == (
@@ -298,7 +299,7 @@ def test_elimination_beyond_the_bound():
     table, symbols = _split_setup()
     big = table.layout.bias + 5
     product, _ = _elimination_results(table, big)
-    image = psi_hat(RationalFunction.from_poly(product), symbols)
+    image = psi_hat(RationalFunction(product, LaurentPolynomial.one(table)), symbols)
     assert image.den.is_one()
     assert dict(image.num.terms) == {
         (0, 0, 0, 0, 0, 0, 0): 1,

@@ -232,10 +232,11 @@ def non_laurent_seed():
     one = LaurentPolynomial.one(table)
 
     def c(*terms):
-        return GroupRingElement.from_terms(
-            kind, [(m, SemifieldElement.universal(kind, RationalFunction(num, den)))
-                   for m, num, den in terms]
-        )
+        def value(num, den):
+            fraction = FactoredFraction.from_poly(num) / FactoredFraction.from_poly(den)
+            return SemifieldElement.universal(kind, fraction)
+
+        return GroupRingElement.from_terms(kind, [(m, value(num, den)) for m, num, den in terms])
 
     unit = GroupRingElement.one(kind)
     Z1 = ExchangePolynomial((unit, c((2, v("z11"), one + v("y1"))), unit))
@@ -305,7 +306,7 @@ def test_shared_coefficient_denominator_enters_once():
     d = LaurentPolynomial.one(table) + LaurentPolynomial.variable(table, "y2")
 
     def over_d(name):
-        value = RationalFunction(LaurentPolynomial.variable(table, name), d)
+        value = FactoredFraction.variable(table, name) / FactoredFraction.from_poly(d)
         return GroupRingElement.of(SemifieldElement.universal(kind, value))
 
     unit = GroupRingElement.one(kind)
@@ -379,14 +380,14 @@ def test_case1_walk_y_values_match_reference_data():
 
     def mono(powers):
         return SemifieldElement.universal(
-            kind, RationalFunction.monomial(table, powers)
+            kind, FactoredFraction.from_poly(LaurentPolynomial.monomial(table, powers))
         )
 
     def poly(terms):
         out = LaurentPolynomial.zero(table)
         for coeff, powers in terms:
             out = out + LaurentPolynomial.monomial(table, powers, coeff)
-        return SemifieldElement.universal(kind, RationalFunction.from_poly(out))
+        return SemifieldElement.universal(kind, FactoredFraction.from_poly(out))
 
     f1 = poly(
         [

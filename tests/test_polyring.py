@@ -32,6 +32,11 @@ def xy():
     return VariableTable(["x", "y"])
 
 
+def whole(p):
+    """p over 1: the expanded fraction that psi_hat takes and returns."""
+    return RationalFunction(p, LaurentPolynomial.one(p.table))
+
+
 def P(table, expr):
     """Tiny builder: list of (coeff, {name: exp}) pairs."""
     out = LaurentPolynomial.zero(table)
@@ -81,10 +86,10 @@ def test_ratfn_eq_examples(xy):
     x = LaurentPolynomial.variable(xy, "x")
     one = LaurentPolynomial.one(xy)
     f = RationalFunction(x * x - one, x - one)
-    assert f == RationalFunction.from_poly(x + one)
-    assert RationalFunction(one, x) == RationalFunction.monomial(xy, {"x": -1})
+    assert f == whole(x + one)
+    assert RationalFunction(one, x) == whole(LaurentPolynomial.monomial(xy, {"x": -1}))
     y = LaurentPolynomial.variable(xy, "y")
-    assert RationalFunction.from_poly(one + y) != RationalFunction.from_poly(one + y + y)
+    assert whole(one + y) != whole(one + y + y)
 
 
 def test_ratfn_eq_is_equivalence_and_matches_expansion():
@@ -102,10 +107,10 @@ def test_ratfn_eq_is_equivalence_and_matches_expansion():
         a = rand_poly()
         scale = rand_poly()
         b = RationalFunction(a * scale, scale)
-        f = RationalFunction.from_poly(a)
+        f = whole(a)
         assert f == f
         assert f == b and b == f
-        g = RationalFunction.from_poly(a + LaurentPolynomial.one(table))
+        g = whole(a + LaurentPolynomial.one(table))
         assert f != g
 
 
@@ -262,24 +267,25 @@ def test_psi_hat_split_product():
     y = LaurentPolynomial.variable(table, "y")
     s11 = LaurentPolynomial.variable(table, "s11")
     s12 = LaurentPolynomial.variable(table, "s12")
-    f = RationalFunction.from_poly((one + s11 * y) * (one + s12 * y))
+    f = whole((one + s11 * y) * (one + s12 * y))
     image = psi_hat(f, symbols)
     z = LaurentPolynomial.variable(table, "z")
-    assert image == RationalFunction.from_poly(one + z * y + y * y)
+    assert image == whole(one + z * y + y * y)
 
 
 def test_psi_hat_full_block_product_is_one():
     table = _split_table()
     symbols = _symbols_two(table)
-    f = RationalFunction.monomial(table, {"s11": 1, "s12": 1})
-    assert psi_hat(f, symbols).is_one()
+    f = whole(LaurentPolynomial.monomial(table, {"s11": 1, "s12": 1}))
+    image = psi_hat(f, symbols)
+    assert image.num.is_one() and image.den.is_one()
 
 
 def test_psi_hat_rejects_asymmetric():
     table = _split_table()
     symbols = _symbols_two(table)
     with pytest.raises(PsiDomainError):
-        psi_hat(RationalFunction.monomial(table, {"s11": 1}), symbols)
+        psi_hat(whole(LaurentPolynomial.monomial(table, {"s11": 1})), symbols)
 
 
 def test_psi_hat_multiplicative():
@@ -291,10 +297,10 @@ def test_psi_hat_multiplicative():
     s12 = LaurentPolynomial.variable(table, "s12")
     rng = random.Random(17)
     pool = [
-        RationalFunction.from_poly((one + s11 * y) * (one + s12 * y)),
-        RationalFunction.from_poly(s11 * s12 + one),
-        RationalFunction.monomial(table, {"s11": 1, "s12": 1, "y": 2}),
-        RationalFunction.from_poly(one + y),
+        whole((one + s11 * y) * (one + s12 * y)),
+        whole(s11 * s12 + one),
+        whole(LaurentPolynomial.monomial(table, {"s11": 1, "s12": 1, "y": 2})),
+        whole(one + y),
     ]
     for _ in range(40):
         f, g = rng.choice(pool), rng.choice(pool)
@@ -332,7 +338,7 @@ def test_psi_hat_is_the_factored_map_of_two_factors():
     assert image == psi_hat_factored(FactoredFraction.from_ratfn(f), symbols).expand()
     # (e1^2 - 2 e2) / e2 at e1 = z, e2 = 1
     z = LaurentPolynomial.variable(table, "z")
-    assert image == RationalFunction.from_poly(z * z - LaurentPolynomial.constant(table, 2))
+    assert image == whole(z * z - LaurentPolynomial.constant(table, 2))
 
 
 def test_psi_hat_certifies_the_cone():
@@ -341,9 +347,9 @@ def test_psi_hat_certifies_the_cone():
     symbols = _symbols_two(table)
     s11 = LaurentPolynomial.variable(table, "s11")
     s12 = LaurentPolynomial.variable(table, "s12")
-    f = RationalFunction.from_poly(s11 * s11 + s12 * s12)
+    f = whole(s11 * s11 + s12 * s12)
     z = LaurentPolynomial.variable(table, "z")
-    assert psi_hat(f, symbols) == RationalFunction.from_poly(
+    assert psi_hat(f, symbols) == whole(
         z * z - LaurentPolynomial.constant(table, 2)
     )
     with pytest.raises(PsiConeError):
@@ -358,7 +364,7 @@ def test_psi_hat_numerator_in_kernel():
     s12 = LaurentPolynomial.variable(table, "s12")
     z = LaurentPolynomial.variable(table, "z")
     with pytest.raises(PsiKernelError):
-        psi_hat(RationalFunction.from_poly(s11 + s12 - z), symbols)
+        psi_hat(whole(s11 + s12 - z), symbols)
 
 
 def test_factored_fraction_cancels_and_compares():
@@ -388,7 +394,7 @@ def test_cross_evaluate_monomial_and_general():
         {0: FactoredFraction.variable(dst, "a"), 1: FactoredFraction.variable(dst, "b")},
         dst,
     )
-    assert mono == RationalFunction.from_poly(
+    assert mono == FactoredFraction.from_poly(
         P(dst, [(1, {}), (2, {"a": 1}), (3, {"a": 1, "b": 2})])
     )
     one = LaurentPolynomial.one(dst)
@@ -397,17 +403,17 @@ def test_cross_evaluate_monomial_and_general():
         p, {0: FactoredFraction.from_poly(one + a), 1: FactoredFraction.from_poly(a)}, dst
     )
     expect = one + (one + a).scale(2) + ((one + a) * a * a).scale(3)
-    assert general == RationalFunction.from_poly(expect)
+    assert general == FactoredFraction.from_poly(expect)
     # on the polynomial's own table an unassigned variable stays
     one = LaurentPolynomial.one(src)
     v = LaurentPolynomial.variable(src, "v")
     inv = FactoredFraction.variable(src, "v", -1)
-    assert cross_evaluate(p, {0: inv}, src) == RationalFunction.from_poly(
+    assert cross_evaluate(p, {0: inv}, src) == FactoredFraction.from_poly(
         P(src, [(1, {}), (2, {"v": -1}), (3, {"v": 1})])
     )
     expect = one + (one + v).scale(2) + ((one + v) * v * v).scale(3)
     assert cross_evaluate(p, {0: FactoredFraction.from_poly(one + v)}, src) == (
-        RationalFunction.from_poly(expect)
+        FactoredFraction.from_poly(expect)
     )
 
 
@@ -429,11 +435,11 @@ def test_cross_evaluate_remaps_past_unused_general_values(monkeypatch):
     want = P(dst, [(1, {}), (2, {"a": 2, "b": -1}), (3, {"a": 2, "b": -3})])
     for unused in (FactoredFraction.from_poly(one + a.scale(2)), None):
         assign = {0: unit, 1: FactoredFraction.variable(dst, "b"), 2: unused}
-        assert cross_evaluate(p, assign, dst) == RationalFunction.from_poly(want)
+        assert cross_evaluate(p, assign, dst) == FactoredFraction.from_poly(want)
     # on the polynomial's own table, with v unassigned and kept
     own = {0: FactoredFraction.variable(src, "v"),
            2: FactoredFraction.from_poly(LaurentPolynomial.variable(src, "w").scale(3))}
-    assert cross_evaluate(p, own, src) == RationalFunction.from_poly(
+    assert cross_evaluate(p, own, src) == FactoredFraction.from_poly(
         P(src, [(1, {}), (2, {"v": 1}), (3, {"v": -1})])
     )
 
@@ -507,6 +513,34 @@ def test_render():
     # monomial denominators normalize into the numerator
     assert RationalFunction(one, x).render() == "x^-1"
     assert RationalFunction(one + y, x + y).render() == "(1 + y)/(x + y)"
+
+
+@pytest.mark.parametrize("case, text", [
+    ("negative lead", "(-1 - y)/(-2 + x)"),
+    ("monomial content", "(x^-2 + x^-1)/(x + y)"),
+    ("integer content", "(1 + 2*x)/(1 + 3*y)"),
+    ("equal parts", "1"),
+    ("monomial denominator", "x^-1*y^-1 + y^-1 + x^-1"),
+])
+def test_factored_render_is_the_normalized_expansion(xy, case, text):
+    one, x, y = (LaurentPolynomial.one(xy), LaurentPolynomial.variable(xy, "x"),
+                 LaurentPolynomial.variable(xy, "y"))
+    two = LaurentPolynomial.constant(xy, 2)
+    num, den = {
+        "negative lead": ([one + y], two - x),
+        "monomial content": ([one + x], x * x * y + x * x * x),
+        "integer content": ([two + x.scale(4)], y.scale(6) + two),
+        # the factors do not cancel, their expansions do
+        "equal parts": ([one + x, one - x], one - x * x),
+        "monomial denominator": ([one + x + y], x * y),
+    }[case]
+    value = FactoredFraction.one(xy)
+    for p in num:
+        value = value * FactoredFraction.from_poly(p)
+    value = value / FactoredFraction.from_poly(den)
+    assert len(value.factors) == len(num) + 1
+    assert value.render() == text
+    assert RationalFunction(*value.expand_parts()).render() == text
 
 
 def test_elementary_symmetric_explicit():

@@ -80,7 +80,7 @@ def test_universal_addition_and_inverse(univ):
     y = SemifieldElement.generator(univ, "y")
     y2 = sf_pow(y, 2)
     total = sf_add(y, y2)
-    expect = RationalFunction.from_poly(
+    expect = FactoredFraction.from_poly(
         LaurentPolynomial.variable(table, "y")
         + LaurentPolynomial.variable(table, "y", 2)
     )
@@ -132,7 +132,9 @@ def test_as_factored_scales_by_the_multiplicity(univ, trop):
         assert doubled == RationalFunction(num.scale(mult), den)
     u = SemifieldElement.tropical(trop, [2])
     ab = VariableTable(["u"])
-    assert GroupRingElement.of(u, 2).as_factored(ab) == RationalFunction.monomial(ab, {"u": 2}, 2)
+    assert GroupRingElement.of(u, 2).as_factored(ab) == FactoredFraction.from_poly(
+        LaurentPolynomial.monomial(ab, {"u": 2}, 2)
+    )
 
 
 def test_as_factored_of_a_sum_that_cancels_is_zero(univ):
@@ -162,7 +164,9 @@ def test_universal_payload_is_always_factored(univ):
     made = {
         "one": SemifieldElement.one(univ),
         "generator": y,
-        "universal": SemifieldElement.universal(univ, RationalFunction(yp + zp, yp)),
+        "universal": SemifieldElement.universal(
+            univ, FactoredFraction.from_poly(yp + zp) / FactoredFraction.from_poly(yp)
+        ),
         "sf_add": sf_add(y, z),
         "sf_mul": sf_mul(y, z),
         "sf_inv": sf_inv(y),
@@ -175,6 +179,42 @@ def test_universal_payload_is_always_factored(univ):
     for name, value in made.items():
         assert isinstance(value.payload, FactoredFraction), name
         assert value.as_factored(table) is value.payload, name
+
+
+@pytest.mark.parametrize("case, error, match", [
+    ("zero", ValueError, "zero is not a semifield element"),
+    ("other table", SemifieldMismatchError, "semifield mismatch"),
+    ("signed", ValueError, "subtraction-free"),
+    ("signed denominator", ValueError, "subtraction-free"),
+    ("non-generator", ValueError, "non-generator variable"),
+])
+def test_universal_rejects_values_outside_the_semifield(case, error, match):
+    table = VariableTable(["x", "y"])
+    kind = SemifieldKind.universal(table, ["y"])
+    one, x, y = (LaurentPolynomial.one(table), LaurentPolynomial.variable(table, "x"),
+                 LaurentPolynomial.variable(table, "y"))
+    value = {
+        "zero": None,
+        "other table": FactoredFraction.variable(VariableTable(["x", "y"]), "y"),
+        "signed": FactoredFraction.from_poly(one - y),
+        "signed denominator": FactoredFraction.from_poly(one + y)
+        / FactoredFraction.from_poly(y - one),
+        "non-generator": FactoredFraction.from_poly(one + y) / FactoredFraction.from_poly(x),
+    }[case]
+    with pytest.raises(error, match=match):
+        SemifieldElement.universal(kind, value)
+
+
+def test_universal_judges_the_normalized_expansion():
+    # (-1 - y) * (-1)^-1 has signed factors but is 1 + y: accepted, kept as given
+    table = VariableTable(["y"])
+    kind = SemifieldKind.universal(table, ["y"])
+    one, y = LaurentPolynomial.one(table), LaurentPolynomial.variable(table, "y")
+    value = FactoredFraction.from_poly(-one - y) * FactoredFraction.from_poly(-one, -1)
+    element = SemifieldElement.universal(kind, value)
+    assert element.payload is value
+    one_y = sf_add(SemifieldElement.one(kind), SemifieldElement.generator(kind, "y"))
+    assert sf_eq(element, one_y)
 
 
 def test_kind_mismatch_raises(trop, univ):
@@ -212,7 +252,9 @@ def test_semifield_laws_randomized(kind_name):
                     rng.randint(1, 3),
                 )
             den = LaurentPolynomial.monomial(table, {"y": rng.randint(0, 1)})
-            return SemifieldElement.universal(kind, RationalFunction(out, den))
+            return SemifieldElement.universal(
+                kind, FactoredFraction.from_poly(out) / FactoredFraction.from_poly(den)
+            )
 
     for _ in range(1000):
         a, b, c = rand(), rand(), rand()
@@ -284,7 +326,7 @@ def test_specialize_degree_two(univ):
     y = SemifieldElement.generator(univ, "y")
     value = specialize_Z(_exchange(univ, [z]), y)
     table = univ.table
-    expect = RationalFunction.from_poly(
+    expect = FactoredFraction.from_poly(
         LaurentPolynomial.one(table)
         + LaurentPolynomial.monomial(table, {"y": 1, "z": 1})
         + LaurentPolynomial.variable(table, "y", 2)
@@ -307,7 +349,7 @@ def test_specialize_with_zero_interior_is_nonzero(univ):
     y = SemifieldElement.generator(univ, "y")
     value = specialize_Z(_exchange(univ, [zero]), y)
     table = univ.table
-    expect = RationalFunction.from_poly(
+    expect = FactoredFraction.from_poly(
         LaurentPolynomial.one(table) + LaurentPolynomial.variable(table, "y", 2)
     )
     assert value.as_factored(table) == expect
@@ -434,7 +476,7 @@ def test_psi_split_specialization_factors():
 def test_psi_sends_full_split_monomial_to_one():
     table, base, ext, symbols = _psi_setup()
     member = SemifieldElement.universal(
-        ext, RationalFunction.monomial(table, {"s11": 1, "s12": 1})
+        ext, FactoredFraction.from_poly(LaurentPolynomial.monomial(table, {"s11": 1, "s12": 1}))
     )
     assert sf_eq(psi(member, symbols, base), SemifieldElement.one(base))
 
@@ -486,7 +528,7 @@ def test_psi_certifies_large_parts():
             ),
         ),
     )
-    element = SemifieldElement.universal(ext, RationalFunction.from_poly(part))
+    element = SemifieldElement.universal(ext, FactoredFraction.from_poly(part))
     with pytest.raises(PsiConeError):
         psi(element, symbols, base)
 
@@ -499,7 +541,7 @@ def test_cached_signed_orbit_is_still_certified():
     s12 = LaurentPolynomial.variable(table, "s12")
     ff = FactoredFraction.from_poly(s11 ** 2 + s12 ** 2)
     z = LaurentPolynomial.variable(table, "z")
-    assert psi_hat_factored(ff, symbols) == RationalFunction.from_poly(
+    assert psi_hat_factored(ff, symbols) == FactoredFraction.from_poly(
         z * z - LaurentPolynomial.constant(table, 2)
     )
     assert symbols.orbits
@@ -563,9 +605,9 @@ def test_psi_reciprocal_specialization():
     for _ in range(12):
         y = SemifieldElement.universal(
             ext,
-            RationalFunction.monomial(
+            FactoredFraction.from_poly(LaurentPolynomial.monomial(
                 table, {"y": rng.randint(1, 2), "z21": rng.randint(0, 1)}
-            ),
+            )),
         )
         prod = None
         for name in ("s21", "s22", "s23"):

@@ -122,7 +122,7 @@ F_RELATION_TESTED = {
 
 @pytest.mark.parametrize("case", [1, 2])
 def test_f_relation_endpoint_matches_the_expanded_route(case, monkeypatch):
-    # every factored endpoint image equals psi_hat of the expanded product,
+    # every factored image equals psi_hat of the expanded product,
     # and every factor went through the orbit route, not the fallback
     from gencluster import verify
 
@@ -146,8 +146,9 @@ def test_f_relation_endpoint_matches_the_expanded_route(case, monkeypatch):
             m.setattr(verify, "_ENDPOINT_LIMIT", 10 ** 18)
             report = check_f_relation(B, R, word)
         assert report.passed and report.tested == tested
-        # the block product and one transposed form per slot, per direction
-        assert len(images) - before == sum(1 + ri for ri in R)
+        # the block product and one transposed form per slot, per direction,
+        # and one whole-block exchange factor per step of the word
+        assert len(images) - before == sum(1 + ri for ri in R) + len(word)
         assert check_f_relation(B, R, word).tested == auto
 
 
